@@ -20,13 +20,14 @@ pub struct Checkpoint {
     pub at_logical: u64,
     snapshot: VmSnapshot,
     replayer: DejaVuReplayer,
-    /// Approximate serialized size (bytes).
+    /// Snapshot size ([`VmSnapshot::bytes`]): it scales with the live
+    /// heap extent, not the heap's capacity.
     pub bytes: usize,
 }
 
 /// What one [`TimeTravel::seek_logical`] actually did — the evidence that
 /// a checkpoint-indexed seek replays O(block), not O(run).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeekStats {
     /// Logical time the caller asked for.
     pub target_logical: u64,
@@ -119,9 +120,15 @@ impl TimeTravel {
         self.vm.status
     }
 
+    /// Trace events (switches + clock reads + native calls) the replayer
+    /// has consumed on the current timeline.
+    pub fn events_consumed(&self) -> u64 {
+        self.replayer.events_consumed()
+    }
+
     fn take_checkpoint(&mut self) {
         let snapshot = self.vm.snapshot();
-        let bytes = self.vm.snapshot_size_bytes();
+        let bytes = snapshot.bytes();
         self.checkpoints.push(Checkpoint {
             at_step: self.step,
             at_logical: self.logical_time(),
@@ -139,9 +146,15 @@ impl TimeTravel {
         }
         interp::step(&mut self.vm, &mut self.replayer);
         self.step += 1;
+        self.checkpoint_if_due();
+    }
+
+    /// Checkpoint if the step just executed is due one: on the interval
+    /// cadence, or on the first step at or past a block boundary (which
+    /// anchors that block).
+    fn checkpoint_if_due(&mut self) {
         let lt = self.logical_time();
         let mut checkpoint = self.step % self.interval == 0;
-        // First step at or past a block boundary anchors that block.
         while self.next_boundary < self.boundaries.len()
             && self.boundaries[self.next_boundary] <= lt
         {
@@ -153,14 +166,35 @@ impl TimeTravel {
         }
     }
 
+    /// Replay forward until `step` reaches `target_step`, the logical
+    /// clock reaches `target_logical`, or the VM stops — exactly where a
+    /// loop of [`TimeTravel::step_once`] would stop, with the same
+    /// checkpoints, but on the tiered dispatch loop. Each chunk ends on
+    /// the step that is due the next checkpoint: the step budget stops on
+    /// the next interval multiple, and the logical stop on the first step
+    /// that enters the next block boundary (`interp::run_until` pauses on
+    /// the same instruction boundary in every tier).
+    fn run_forward(&mut self, target_step: u64, target_logical: u64) {
+        while self.vm.status.is_running()
+            && self.step < target_step
+            && self.logical_time() < target_logical
+        {
+            // The boundary cursor is always past the clock (construction
+            // skips t=0, each chunk consumes what it crossed, restores
+            // re-arm it), so every chunk makes progress.
+            let boundary = self.boundaries.get(self.next_boundary).copied();
+            let budget = (self.interval - self.step % self.interval).min(target_step - self.step);
+            let stop = boundary.unwrap_or(u64::MAX).min(target_logical);
+            let before = self.vm.counters.steps;
+            interp::run_until(&mut self.vm, &mut self.replayer, budget, stop);
+            self.step += self.vm.counters.steps - before;
+            self.checkpoint_if_due();
+        }
+    }
+
     /// Run forward `n` steps (or until the VM stops).
     pub fn advance(&mut self, n: u64) {
-        for _ in 0..n {
-            if !self.vm.status.is_running() {
-                break;
-            }
-            self.step_once();
-        }
+        self.run_forward(self.step.saturating_add(n), u64::MAX);
     }
 
     /// Travel to an absolute step index — backward via checkpoint restore
@@ -177,9 +211,7 @@ impl TimeTravel {
             restored = true;
         }
         let before = self.step;
-        while self.step < target && self.vm.status.is_running() {
-            self.step_once();
-        }
+        self.run_forward(target, u64::MAX);
         if restored {
             // only restore-induced catch-up counts as re-execution
             self.reexecuted += self.step - before;
@@ -221,16 +253,14 @@ impl TimeTravel {
         }
         stats.checkpoint_step = self.step;
         stats.checkpoint_logical = self.logical_time();
-        let events_before = self.replayer.events_consumed();
+        let events_before = self.events_consumed();
         let before = self.step;
-        while self.logical_time() < target && self.vm.status.is_running() {
-            self.step_once();
-        }
+        self.run_forward(u64::MAX, target);
         if stats.restored {
             self.reexecuted += self.step - before;
         }
         stats.steps_replayed = self.step - before;
-        stats.events_replayed = self.replayer.events_consumed() - events_before;
+        stats.events_replayed = self.events_consumed() - events_before;
         stats.final_step = self.step;
         stats.final_logical = self.logical_time();
         stats

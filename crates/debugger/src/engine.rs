@@ -17,6 +17,11 @@ use reflect::{mirror, LocalVmMemory, RemoteReflector};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Steps between interval checkpoints for a debug session — the value the
+/// CLI `serve` subcommand and the fleet's hosted replays both use, so a
+/// fleet-hosted session seeks like a local one.
+pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 5_000;
+
 /// Why the session stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StopReason {
@@ -201,7 +206,12 @@ impl DebugSession {
         if let Some(r) = self.status_reason() {
             return r;
         }
-        self.tt.step_once();
+        if self.breakpoints.is_empty() {
+            // Nothing to stop at but the end: replay on the tiered loop.
+            self.tt.advance(u64::MAX);
+        } else {
+            self.tt.step_once();
+        }
         loop {
             if let Some(r) = self.status_reason() {
                 return r;

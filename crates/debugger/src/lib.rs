@@ -22,5 +22,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::DebugClient;
-pub use engine::{DebugSession, FrameInfo, StopReason, ThreadInfo};
+pub use engine::{DebugSession, FrameInfo, StopReason, ThreadInfo, DEFAULT_CHECKPOINT_INTERVAL};
 pub use protocol::{Command, Response};

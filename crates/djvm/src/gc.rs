@@ -440,19 +440,23 @@ fn copying(vm: &mut Vm) {
         scan += words;
     }
 
-    // Flip.
+    // Flip. The to-space bump counts toward the heap extent like any
+    // allocation.
+    let from_bump = vm.heap.bump;
     vm.heap.active_base = to_base;
     vm.heap.bump = to_bump;
-    // Scrub the old semispace in debug builds to catch stale pointers.
+    vm.heap.extent = vm.heap.extent.max(to_bump);
+    // Scrub the old semispace's used part in debug builds to catch stale
+    // pointers (only below its bump, so words past the extent stay zero).
     #[cfg(debug_assertions)]
     {
-        for w in &mut vm.heap.mem[from_base..from_base + half] {
+        for w in &mut vm.heap.mem[from_base..from_bump] {
             *w = 0xDEAD_DEAD_DEAD_DEAD;
         }
     }
     #[cfg(not(debug_assertions))]
     {
-        let _ = from_base;
+        let _ = (from_base, from_bump);
     }
 }
 

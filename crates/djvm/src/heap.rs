@@ -165,14 +165,22 @@ pub struct Heap {
     pub(crate) bump: usize,
     /// Mark-sweep: address-ordered free blocks (addr, len).
     pub(crate) free: Vec<(usize, usize)>,
+    /// One past the highest word any allocation (or the copying
+    /// collector's to-space bump) has ever handed out. Every word at or
+    /// above it is zero: `mem` starts zeroed and all writes land inside
+    /// allocated blocks, so snapshots only need `mem[..extent]`.
+    pub(crate) extent: usize,
     serial: u64,
     pub stats: HeapStats,
 }
 
-/// A full copy of heap state, for checkpoint/restore (Igor/Boothe-style
-/// time travel).
+/// A copy of heap state, for checkpoint/restore (Igor/Boothe-style time
+/// travel). Holds only the live extent `mem[..extent]` — the rest of the
+/// heap is zero by construction — so a checkpoint costs what the program
+/// touched, not the heap's capacity.
 #[derive(Debug, Clone)]
 pub struct HeapSnapshot {
+    /// `mem[..extent]` at snapshot time.
     mem: Vec<Word>,
     half: usize,
     active_base: usize,
@@ -203,6 +211,7 @@ impl Heap {
             active_base,
             bump,
             free,
+            extent: RESERVED,
             serial: 0,
             stats: HeapStats::default(),
         }
@@ -214,6 +223,12 @@ impl Heap {
 
     pub fn total_words(&self) -> usize {
         self.mem.len()
+    }
+
+    /// One past the highest word ever handed out; every word at or above
+    /// it is zero.
+    pub fn extent(&self) -> usize {
+        self.extent
     }
 
     /// Words still allocatable without a collection.
@@ -337,6 +352,7 @@ impl Heap {
 
     fn write_block(&mut self, addr: Addr, words: usize, h: Header) {
         let a = addr as usize;
+        self.extent = self.extent.max(a + words);
         self.mem[a] = h.encode();
         for w in &mut self.mem[a + 1..a + words] {
             *w = 0;
@@ -412,10 +428,10 @@ impl Heap {
         self.mem.clone()
     }
 
-    /// Capture the complete heap state.
+    /// Capture the complete heap state (its live extent; see [`HeapSnapshot`]).
     pub fn snapshot(&self) -> HeapSnapshot {
         HeapSnapshot {
-            mem: self.mem.clone(),
+            mem: self.mem[..self.extent].to_vec(),
             half: self.half,
             active_base: self.active_base,
             bump: self.bump,
@@ -428,7 +444,14 @@ impl Heap {
     /// Restore a previously captured heap state (collector kind must not
     /// have changed).
     pub fn restore(&mut self, s: &HeapSnapshot) {
-        self.mem.clone_from(&s.mem);
+        let snap_extent = s.mem.len();
+        self.mem[..snap_extent].copy_from_slice(&s.mem);
+        // Words the snapshot's future touched; beyond `self.extent` the
+        // heap is already zero.
+        if self.extent > snap_extent {
+            self.mem[snap_extent..self.extent].fill(0);
+        }
+        self.extent = snap_extent;
         self.half = s.half;
         self.active_base = s.active_base;
         self.bump = s.bump;
@@ -436,10 +459,13 @@ impl Heap {
         self.serial = s.serial;
         self.stats = s.stats;
     }
+}
 
-    /// Snapshot payload size in bytes (checkpoint-cost experiments).
-    pub fn snapshot_bytes(&self) -> usize {
-        self.mem.len() * 8 + self.free.len() * 16 + 64
+impl HeapSnapshot {
+    /// Bytes this snapshot holds outside its own struct: the heap extent
+    /// and the free list.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.mem.as_slice()) + std::mem::size_of_val(self.free.as_slice())
     }
 }
 

@@ -40,11 +40,26 @@ enum Flow {
 /// pauses at exactly the same instruction boundary either way (the
 /// debugger's checkpoint seek depends on this).
 pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
+    run_until(vm, hook, max_steps, u64::MAX)
+}
+
+/// [`run`] with a logical-time stop as well: execution also pauses at the
+/// first instruction boundary where `vm.counters.yield_points` has reached
+/// `stop_yield_points` — the same boundary a loop of [`step`] checking the
+/// clock after every instruction would stop on, in every dispatch tier.
+/// Time travel uses it to replay forward to a checkpoint key or a seek
+/// target without stepping one instruction at a time.
+pub fn run_until(
+    vm: &mut Vm,
+    hook: &mut dyn ExecHook,
+    max_steps: u64,
+    stop_yield_points: u64,
+) -> VmStatus {
     if vm.config.quicken {
-        return run_quick(vm, hook, max_steps);
+        return run_quick(vm, hook, max_steps, stop_yield_points);
     }
     let mut n = 0;
-    while vm.status.is_running() && n < max_steps {
+    while vm.status.is_running() && n < max_steps && vm.counters.yield_points < stop_yield_points {
         step(vm, hook);
         n += 1;
     }
@@ -54,13 +69,7 @@ pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
 /// Execute until the VM stops (no budget). Guest programs that do not
 /// terminate will spin forever, as real ones do; tests use [`run`].
 pub fn run_to_completion(vm: &mut Vm, hook: &mut dyn ExecHook) -> VmStatus {
-    if vm.config.quicken {
-        return run_quick(vm, hook, u64::MAX);
-    }
-    while vm.status.is_running() {
-        step(vm, hook);
-    }
-    vm.status
+    run(vm, hook, u64::MAX)
 }
 
 /// The quickened dispatch core: executes the `QOp` stream with a cached
@@ -85,7 +94,17 @@ pub fn run_to_completion(vm: &mut Vm, hook: &mut dyn ExecHook) -> VmStatus {
 /// * only *total* constituents are fused (no allocation, no failure, no
 ///   hook consultation), so "accounting for k, then effects of k" is
 ///   observationally identical to the interleaved generic order.
-fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
+///
+/// The logical-time stop needs one check, at the top of `'outer`: every
+/// yield point (inline backedges, calls, the generic fallback) ends with
+/// `continue 'outer`, and megablock batches are clamped so none crosses
+/// the stop (see [`run_mega`]).
+fn run_quick(
+    vm: &mut Vm,
+    hook: &mut dyn ExecHook,
+    max_steps: u64,
+    stop_yield_points: u64,
+) -> VmStatus {
     let mut n: u64 = 0;
     // The program Arc never changes identity during a run; clone it once
     // so per-method qops slices can be borrowed while `vm` is mutated.
@@ -94,7 +113,10 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
     // lives here and only here (the generic path has no QOps to key by).
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
-    'outer: while vm.status.is_running() && n < max_steps {
+    'outer: while vm.status.is_running()
+        && n < max_steps
+        && vm.counters.yield_points < stop_yield_points
+    {
         // ---- refresh the cached frame cursor ----
         let tid = vm.sched.current;
         let cur = tid as usize;
@@ -106,7 +128,15 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
         if vm.mega.enabled && vm.instr_depth == 0 {
             if let Some(block) = vm.mega_block(method, pc) {
                 let before = n;
-                run_mega(vm, hook, &block, &mut n, max_steps, prof_on);
+                run_mega(
+                    vm,
+                    hook,
+                    &block,
+                    &mut n,
+                    max_steps,
+                    stop_yield_points,
+                    prof_on,
+                );
                 if n != before {
                     continue 'outer;
                 }
@@ -473,7 +503,9 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
 ///   `h` is consulted once at entry: within a tick-free window the horizon
 ///   cannot shrink for any other reason (passthrough/record horizons
 ///   depend only on the preempt bit; replay's recorded delta decreases by
-///   exactly the yield points we credit).
+///   exactly the yield points we credit). `h` is also capped at the yield
+///   points left before `stop_yield_points`, so a batch ends at the latest
+///   on the backedge that reaches the stop, never past it.
 ///
 /// Every guard failure — real or injected — exits *before* the offending
 /// step, with the thread cursor flushed to that step's exact
@@ -493,6 +525,7 @@ fn run_mega(
     block: &crate::compile::MegaBlock,
     n: &mut u64,
     max_steps: u64,
+    stop_yield_points: u64,
     prof_on: bool,
 ) {
     use crate::compile::MegaOp;
@@ -502,7 +535,9 @@ fn run_mega(
     let forced_guard = vm.config.mega_deopt_guard;
 
     // One horizon consult covers the whole entry (see above).
-    let mut h = hook.quiet_yield_horizon(vm);
+    let mut h = hook
+        .quiet_yield_horizon(vm)
+        .min(stop_yield_points - vm.counters.yield_points);
 
     let tid = vm.sched.current;
     let cur = tid as usize;

@@ -1042,7 +1042,9 @@ impl Vm {
             for f in self.frames(t.tid) {
                 d.add(f.method as u64).add(f.pc as u64).add(f.depth as u64);
                 let cm = self.program.compiled(f.method);
-                let Some(rm) = cm.ref_maps[f.pc as usize].as_ref() else {
+                // The caller of a frame injected at pc 0 saves pc 0 - 1
+                // (it resumes at saved + 1): no ref map to read there.
+                let Some(rm) = cm.ref_maps.get(f.pc as usize).and_then(Option::as_ref) else {
                     continue;
                 };
                 let locals_base = f.fp + 3;
@@ -1219,15 +1221,18 @@ pub struct VmSnapshot {
 }
 
 impl VmSnapshot {
-    /// Approximate serialized size in bytes (dominated by the heap image).
-    pub fn approx_bytes(&self) -> usize {
-        // heap image + thread table + queues
-        self.threads.len() * 96 + self.output.len() + self.heap_bytes()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        // HeapSnapshot is private-field; measure via a temporary accessor.
-        std::mem::size_of_val(self) + self.output.len()
+    /// Bytes this checkpoint holds: the heap's live extent plus the
+    /// thread table, object tables and console output.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        std::mem::size_of::<VmSnapshot>()
+            + self.heap.bytes()
+            + size_of_val(self.threads.as_slice())
+            + self.output.len()
+            + size_of_val(self.class_objects.as_slice())
+            + size_of_val(self.code_objects.as_slice())
+            + size_of_val(self.string_objects.as_slice())
+            + size_of_val(self.extra_roots.as_slice())
     }
 }
 
@@ -1284,11 +1289,6 @@ impl Vm {
         // captures it, and a restore clears the ring so it only ever
         // describes the current timeline (histograms keep accumulating).
         self.telem.on_restore();
-    }
-
-    /// Approximate checkpoint size in bytes (heap image dominates).
-    pub fn snapshot_size_bytes(&self) -> usize {
-        self.heap.snapshot_bytes() + self.threads.len() * 96 + self.output.len()
     }
 }
 

@@ -35,8 +35,9 @@ pub mod session;
 pub mod wire;
 
 pub use client::FleetClient;
+pub use debugger::DEFAULT_CHECKPOINT_INTERVAL;
 pub use manager::{SessionManager, DEFAULT_IDLE_TTL, SHARDS};
 pub use rpc::{Request, Response};
 pub use server::{FleetConfig, FleetServer};
-pub use session::{spec_for, FleetError, Phase, Session, DEFAULT_CHECKPOINT_INTERVAL};
+pub use session::{spec_for, FleetError, Phase, Session};
 pub use wire::{WireError, MAGIC, MAX_FRAME, VERSION};

@@ -16,14 +16,10 @@
 //! sessions but the shard map — so fingerprint determinism is exactly
 //! the single-session story.
 
-use debugger::DebugSession;
+use debugger::{DebugSession, DEFAULT_CHECKPOINT_INTERVAL};
 use dejavu::{record_run, ExecSpec, SymmetryConfig, Trace, TraceError, TraceIngest};
 use std::time::Instant;
 use workloads::Workload;
-
-/// Checkpoint interval for hosted replays — matches the CLI `serve`
-/// subcommand so a fleet-hosted session seeks like a local one.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 5_000;
 
 /// Build the execution spec the fleet uses for a hosted workload. This
 /// MUST mirror `dejavu_repro::corpus::corpus_spec` (timer base 211,

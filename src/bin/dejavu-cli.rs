@@ -1055,8 +1055,12 @@ fn main() -> ExitCode {
             };
             let spec = spec_of(&w, seed);
             let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-            let session =
-                debugger::DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 5_000);
+            let session = debugger::DebugSession::new(
+                spec.program.clone(),
+                spec.vm.clone(),
+                trace,
+                debugger::DEFAULT_CHECKPOINT_INTERVAL,
+            );
             let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
                 Ok(l) => l,
                 Err(e) => {

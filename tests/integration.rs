@@ -119,6 +119,41 @@ fn time_travel_composes_with_reflection() {
 }
 
 #[test]
+fn resident_replay_checkpoints_cost_the_live_heap() {
+    // The fleet's resident replay of fig1_hot: run out with `cont()` at
+    // the default interval. Each checkpoint holds the live heap extent
+    // (~12 KiB), not the 8 MiB heap, so its ~200 checkpoints stay small.
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "fig1_hot")
+        .unwrap();
+    let spec = fleet::spec_for(&w, 1);
+    let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let mut session = DebugSession::new(
+        spec.program.clone(),
+        spec.vm.clone(),
+        trace,
+        debugger::DEFAULT_CHECKPOINT_INTERVAL,
+    );
+    assert_eq!(session.cont(), StopReason::Halted);
+    assert_eq!(session.vm().fingerprint.digest(), rec.fingerprint);
+    assert!(session.desyncs().is_empty());
+
+    let metrics = codec::Json::parse(&session.metrics_json()).unwrap();
+    let counter = |name: &str| {
+        metrics
+            .field("session")
+            .and_then(|s| s.field("counters"))
+            .and_then(|c| c.field(name))
+            .and_then(|v| v.as_u64())
+            .unwrap()
+    };
+    assert!(counter("checkpoints") >= 200);
+    let bytes = counter("checkpoint_bytes");
+    assert!(bytes < 4 << 20, "checkpoints hold {bytes} bytes");
+}
+
+#[test]
 fn umbrella_crate_reexports_work() {
     // the root crate exposes all member crates
     let _cfg = dejavu_repro::dejavu::SymmetryConfig::full();
