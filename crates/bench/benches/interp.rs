@@ -1,18 +1,16 @@
 //! Interpreter dispatch bench: the full three-tier matrix — generic
 //! dispatch, quickened (superinstruction / devirtualized QOp stream), and
 //! tier-2 megablock execution of hot loops — side by side on the Figure-1
-//! hot-loop workload. Reports steps/sec via the `work_units` hint plus
-//! record and replay overhead per tier, so `BENCH_interp.json` captures
-//! the whole tiering story in one file; the `meta` block records the
-//! tier-up counts and tier-over-tier speedups so a silent failure to
-//! promote shows up in CI.
+//! hot-loop workload, all under the default `Full` fingerprint. Reports
+//! steps/sec via the `work_units` hint plus record and replay overhead per
+//! tier, so `BENCH_interp.json` captures the whole tiering story in one
+//! file; the `meta` block records the tier-up and closed-form counts and
+//! tier-over-tier speedups so a silent failure to promote shows up in CI.
 //!
-//! The `steps_*` rows measure raw dispatch speed under
-//! [`FingerprintMode::Coarse`] (the cheap production setting): in `Full`
-//! mode every tier is bound by the same serially-dependent per-pc hash
-//! chain, which caps any dispatch win at ~1.1×. The `steps_fullfp_*` rows
-//! document that hash-bound regime; record/replay rows keep the default
-//! `Full` mode, as the accuracy machinery does.
+//! Mega and quickened record/replay are measured as interleaved pairs
+//! (`Group::bench_pair`): `speedups.record_mega_over_quickened_mx` is the
+//! median per-pair ratio, the figure `scripts/verify.sh` gates at ≥1.5×,
+//! and `meta.record_pairs` / `meta.replay_pairs` carry its quartiles.
 //!
 //! The attached TELEMETRY document comes from *environment-default*
 //! quickening with tier-2 pinned off: running this bench under
@@ -26,7 +24,6 @@
 use bench::bench_spec;
 use bench::harness::{black_box, Group};
 use dejavu::SymmetryConfig;
-use djvm::FingerprintMode;
 
 const WORKLOAD: &str = "fig1_hot";
 
@@ -59,58 +56,59 @@ fn main() {
         "fig1_hot never tiered up — the mega bench rows would measure tier 1"
     );
 
-    // Raw dispatch speed (Coarse fingerprint), then the hash-bound Full
-    // regime for comparison.
-    for (mode, tag) in [
-        (FingerprintMode::Coarse, ""),
-        (FingerprintMode::Full, "fullfp_"),
-    ] {
-        for (tier, s, steps) in [
-            ("mega", &spec_m, steps_m),
-            ("quickened", &spec_q, steps_q),
-            ("generic", &spec_g, steps_g),
-        ] {
-            let s = s.clone().with_fingerprint(mode);
-            g.bench_units(&format!("steps_{tag}{tier}/{WORKLOAD}"), steps, || {
-                black_box(dejavu::passthrough_run(&s, natives));
-            });
-        }
-    }
-
-    // Record overhead, all tiers (Full fingerprint — the real pipeline).
+    // Raw dispatch speed, per tier (Full fingerprint, no recorder).
     for (tier, s, steps) in [
         ("mega", &spec_m, steps_m),
         ("quickened", &spec_q, steps_q),
         ("generic", &spec_g, steps_g),
     ] {
-        g.bench_units(&format!("record_{tier}/{WORKLOAD}"), steps, || {
-            black_box(dejavu::record_run(
-                s,
-                natives,
-                SymmetryConfig::full(),
-                false,
-            ));
+        g.bench_units(&format!("steps_{tier}/{WORKLOAD}"), steps, || {
+            black_box(dejavu::passthrough_run(s, natives));
         });
     }
+
+    // Record overhead, all tiers (the real pipeline); mega and quickened
+    // interleaved, since their ratio is the tier-2 bar.
+    let record = |s: &dejavu::ExecSpec| {
+        black_box(dejavu::record_run(
+            s,
+            natives,
+            SymmetryConfig::full(),
+            false,
+        ));
+    };
+    let record_pairs = g.bench_pair(
+        &format!("record_quickened/{WORKLOAD}"),
+        &format!("record_mega/{WORKLOAD}"),
+        steps_m,
+        || record(&spec_q),
+        || record(&spec_m),
+    );
+    g.bench_units(&format!("record_generic/{WORKLOAD}"), steps_g, || {
+        record(&spec_g)
+    });
 
     // Replay overhead, all tiers (trace decode + forced switches). Each
     // tier replays its own recording; the traces are byte-identical anyway.
     let (_, trace_m) = dejavu::record_run(&spec_m, natives, SymmetryConfig::full(), true);
     let (_, trace_q) = dejavu::record_run(&spec_q, natives, SymmetryConfig::full(), true);
     let (_, trace_g) = dejavu::record_run(&spec_g, natives, SymmetryConfig::full(), true);
-    for (tier, s, steps, trace) in [
-        ("mega", &spec_m, steps_m, &trace_m),
-        ("quickened", &spec_q, steps_q, &trace_q),
-        ("generic", &spec_g, steps_g, &trace_g),
-    ] {
-        g.bench_units(&format!("replay_{tier}/{WORKLOAD}"), steps, || {
-            black_box(dejavu::replay_run(s, trace.clone(), SymmetryConfig::full()));
-        });
-    }
+    let replay = |s: &dejavu::ExecSpec, trace: &dejavu::Trace| {
+        black_box(dejavu::replay_run(s, trace.clone(), SymmetryConfig::full()));
+    };
+    let replay_pairs = g.bench_pair(
+        &format!("replay_quickened/{WORKLOAD}"),
+        &format!("replay_mega/{WORKLOAD}"),
+        steps_m,
+        || replay(&spec_q, &trace_q),
+        || replay(&spec_m, &trace_m),
+    );
+    g.bench_units(&format!("replay_generic/{WORKLOAD}"), steps_g, || {
+        replay(&spec_g, &trace_g)
+    });
 
-    // Tier-up evidence plus derived speedups for the sidecar. The mega
-    // speedup is the ISSUE's bar (≥2× over quickened on fig1_hot, raw
-    // dispatch); milli-x fixed point keeps the JSON integer-only.
+    // Tier-up evidence plus derived speedups for the sidecar, in milli-x
+    // fixed point so the JSON stays integer-only.
     let ratio_mx = |a: &str, b: &str| match (
         g.median_ns(&format!("{a}/{WORKLOAD}")),
         g.median_ns(&format!("{b}/{WORKLOAD}")),
@@ -128,25 +126,22 @@ fn main() {
             ratio_mx("steps_generic", "steps_quickened"),
         ),
         (
-            "fullfp_mega_over_quickened_mx",
-            ratio_mx("steps_fullfp_quickened", "steps_fullfp_mega"),
+            "record_mega_over_quickened_mx",
+            codec::Json::UInt(record_pairs.median_mx()),
         ),
     ]);
-    g.meta(&format!("mega_{WORKLOAD}"), rep_m.mega.to_json());
-    // Under Coarse (what the steps_mega row times) the closed-form stepper
-    // carries the batches — capture its stats so the sidecar proves the
-    // fast path ran rather than the step-by-step fallback.
-    let rep_mc = dejavu::passthrough_run(
-        &spec_m.clone().with_fingerprint(FingerprintMode::Coarse),
-        natives,
-    );
+    // The closed-form stepper carries fig1_hot's batches on the default
+    // path: the sidecar proves the fast path ran rather than the
+    // step-by-step fallback.
     assert!(
-        rep_mc.mega.closed_iters > 0,
-        "coarse-mode bench never hit the closed form: {:?}",
-        rep_mc.mega
+        rep_m.mega.closed_iters > 0,
+        "fig1_hot never hit the closed form: {:?}",
+        rep_m.mega
     );
-    g.meta(&format!("mega_{WORKLOAD}_coarse"), rep_mc.mega.to_json());
+    g.meta(&format!("mega_{WORKLOAD}"), rep_m.mega.to_json());
     g.meta("speedups", speedups);
+    g.meta("record_pairs", record_pairs.to_json());
+    g.meta("replay_pairs", replay_pairs.to_json());
 
     // Telemetry from an env-default-quicken record with tier-2 pinned off:
     // verify.sh runs this bench under DJVM_NO_QUICKEN=1 / DJVM_NO_MEGA=1

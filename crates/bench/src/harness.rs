@@ -4,6 +4,9 @@
 //! Each bench target builds a [`Group`], registers closures, and calls
 //! [`Group::finish`], which prints one human line per bench and emits a
 //! `BENCH_<group>.json` file so the perf trajectory is machine-readable.
+//! Tier-over-tier claims use [`Group::bench_pair`], which interleaves the
+//! two sides' samples so host drift hits both equally, and reports the
+//! median and quartiles of the per-pair ratios.
 //!
 //! Environment knobs:
 //!
@@ -28,6 +31,10 @@ pub struct BenchResult {
     pub total_ns: u64,
     pub mean_ns: u64,
     pub median_ns: u64,
+    /// First and third quartile samples (nearest rank): the spread a
+    /// median is quoted with.
+    pub q1_ns: u64,
+    pub q3_ns: u64,
     pub min_ns: u64,
     pub max_ns: u64,
     /// Work units (e.g. interpreter steps) one iteration performs;
@@ -36,6 +43,42 @@ pub struct BenchResult {
     /// Derived units/second from the median sample; 0 when no
     /// `work_units` hint was given.
     pub throughput: u64,
+}
+
+/// Per-pair ratios of an interleaved comparison ([`Group::bench_pair`]),
+/// in milli-x fixed point (`baseline_ns * 1000 / candidate_ns`: 1500 means
+/// the candidate ran 1.5× faster in that pair), sorted ascending.
+#[derive(Debug, Clone)]
+pub struct PairRatios {
+    pub ratios_mx: Vec<u64>,
+}
+
+impl PairRatios {
+    fn rank(&self, num: usize, den: usize) -> u64 {
+        self.ratios_mx[self.ratios_mx.len() * num / den]
+    }
+
+    pub fn median_mx(&self) -> u64 {
+        self.rank(1, 2)
+    }
+
+    pub fn q1_mx(&self) -> u64 {
+        self.rank(1, 4)
+    }
+
+    pub fn q3_mx(&self) -> u64 {
+        self.rank(3, 4)
+    }
+
+    /// Canonical `{median_mx, q1_mx, q3_mx, pairs}` object for `meta`.
+    pub fn to_json(&self) -> codec::Json {
+        codec::Json::obj(vec![
+            ("median_mx", codec::Json::UInt(self.median_mx())),
+            ("pairs", codec::Json::UInt(self.ratios_mx.len() as u64)),
+            ("q1_mx", codec::Json::UInt(self.q1_mx())),
+            ("q3_mx", codec::Json::UInt(self.q3_mx())),
+        ])
+    }
 }
 
 /// A named group of benches sharing sampling configuration.
@@ -109,27 +152,90 @@ impl Group {
     /// The result then carries a derived `throughput` in units/second,
     /// comparable across machines in a way raw nanoseconds are not.
     pub fn bench_units<F: FnMut()>(&mut self, name: &str, work_units: u64, mut f: F) -> &mut Self {
-        // `.max(1)` guards the mean/median divisions below against a
-        // BENCH_SAMPLES=0 override.
-        let samples = if self.smoke {
-            1
-        } else {
-            self.sample_size.max(1)
-        };
+        let samples = self.samples();
         if !self.smoke {
             let start = Instant::now();
             while start.elapsed() < self.warm_up {
                 f();
             }
         }
-        let mut times: Vec<u64> = Vec::with_capacity(samples as usize);
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            f();
-            times.push(t0.elapsed().as_nanos() as u64);
+        let times: Vec<u64> = (0..samples).map(|_| time(&mut f)).collect();
+        self.record(name, work_units, times);
+        self
+    }
+
+    /// Measure a `baseline` and a `candidate` that do the same
+    /// `work_units` of work, interleaved: warm-up alternates the two, then
+    /// each sample pair times both back to back, alternating which side
+    /// runs first (AB BA AB …), so slow host drift and any first-runner
+    /// penalty land on both sides of the ratios. Both sides are recorded
+    /// as ordinary rows; the returned per-pair ratios say how much faster
+    /// the candidate ran.
+    pub fn bench_pair<FA: FnMut(), FB: FnMut()>(
+        &mut self,
+        baseline: &str,
+        candidate: &str,
+        work_units: u64,
+        mut fa: FA,
+        mut fb: FB,
+    ) -> PairRatios {
+        let samples = self.samples();
+        if !self.smoke {
+            let start = Instant::now();
+            while start.elapsed() < self.warm_up {
+                fa();
+                fb();
+            }
         }
+        let (mut ta, mut tb) = (Vec::new(), Vec::new());
+        for i in 0..samples {
+            if i % 2 == 0 {
+                ta.push(time(&mut fa));
+                tb.push(time(&mut fb));
+            } else {
+                tb.push(time(&mut fb));
+                ta.push(time(&mut fa));
+            }
+        }
+        let mut ratios_mx: Vec<u64> = ta
+            .iter()
+            .zip(&tb)
+            .map(|(&a, &b)| (a as u128 * 1000 / b.max(1) as u128) as u64)
+            .collect();
+        ratios_mx.sort_unstable();
+        self.record(baseline, work_units, ta);
+        self.record(candidate, work_units, tb);
+        let ratios = PairRatios { ratios_mx };
+        println!(
+            "{}/{candidate} over {baseline}: median {}.{:03}x (IQR {}.{:03}-{}.{:03}x, {} interleaved pairs)",
+            self.name,
+            ratios.median_mx() / 1000,
+            ratios.median_mx() % 1000,
+            ratios.q1_mx() / 1000,
+            ratios.q1_mx() % 1000,
+            ratios.q3_mx() / 1000,
+            ratios.q3_mx() % 1000,
+            samples,
+        );
+        ratios
+    }
+
+    /// Samples per bench: one in smoke mode; `.max(1)` guards the
+    /// mean/median divisions against a BENCH_SAMPLES=0 override.
+    fn samples(&self) -> u64 {
+        if self.smoke {
+            1
+        } else {
+            self.sample_size.max(1)
+        }
+    }
+
+    /// Summarize one bench's samples into a row and print it.
+    fn record(&mut self, name: &str, work_units: u64, mut times: Vec<u64>) {
         times.sort_unstable();
-        let median_ns = times[times.len() / 2];
+        let samples = times.len() as u64;
+        let rank = |num: usize, den: usize| times[times.len() * num / den];
+        let median_ns = rank(1, 2);
         let throughput = if work_units == 0 {
             0
         } else {
@@ -143,16 +249,20 @@ impl Group {
             total_ns: times.iter().sum::<u64>(),
             mean_ns: times.iter().sum::<u64>() / samples,
             median_ns,
+            q1_ns: rank(1, 4),
+            q3_ns: rank(3, 4),
             min_ns: times[0],
             max_ns: times[times.len() - 1],
             work_units,
             throughput,
         };
         print!(
-            "{}/{}: median {} (mean {}, min {}, max {}, n={})",
+            "{}/{}: median {} (IQR {}-{}, mean {}, min {}, max {}, n={})",
             self.name,
             result.name,
             fmt_ns(result.median_ns),
+            fmt_ns(result.q1_ns),
+            fmt_ns(result.q3_ns),
             fmt_ns(result.mean_ns),
             fmt_ns(result.min_ns),
             fmt_ns(result.max_ns),
@@ -163,7 +273,6 @@ impl Group {
         }
         println!();
         self.results.push(result);
-        self
     }
 
     /// The JSON document `finish` writes (one line).
@@ -174,12 +283,14 @@ impl Group {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"samples\":{},\"total_ns\":{},\"mean_ns\":{},\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"work_units\":{},\"throughput\":{}}}",
+                "{{\"name\":\"{}\",\"samples\":{},\"total_ns\":{},\"mean_ns\":{},\"median_ns\":{},\"q1_ns\":{},\"q3_ns\":{},\"min_ns\":{},\"max_ns\":{},\"work_units\":{},\"throughput\":{}}}",
                 r.name.replace('"', "'"),
                 r.samples,
                 r.total_ns,
                 r.mean_ns,
                 r.median_ns,
+                r.q1_ns,
+                r.q3_ns,
                 r.min_ns,
                 r.max_ns,
                 r.work_units,
@@ -236,6 +347,12 @@ impl Group {
             }
         }
     }
+}
+
+fn time<F: FnMut()>(f: &mut F) -> u64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos() as u64
 }
 
 fn fmt_ns(ns: u64) -> String {

@@ -91,10 +91,8 @@ impl ExecSpec {
         self
     }
 
-    /// Select the fingerprint mode (default [`FingerprintMode::Full`],
-    /// the strongest accuracy check; `Coarse` hashes scheduling and
-    /// output only and is the cheap production setting the dispatch
-    /// benches measure under).
+    /// Select the fingerprint mode (default [`FingerprintMode::Full`], the
+    /// accuracy check every record and replay runs; `Off` hashes nothing).
     pub fn with_fingerprint(mut self, mode: FingerprintMode) -> Self {
         self.vm.fingerprint = mode;
         self
@@ -341,12 +339,6 @@ pub fn record_replay_forensic(
         trace_stats,
         report,
     }
-}
-
-/// Convenience used in assertions: full-fidelity fingerprinting.
-pub fn full_fidelity(mut spec: ExecSpec) -> ExecSpec {
-    spec.vm.fingerprint = FingerprintMode::Full;
-    spec
 }
 
 // Allow the driver to call on_init without exposing ExecHook publicly odd.

@@ -57,8 +57,8 @@ pub use blocktrace::{
     TraceFormat, TraceIngest, DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
 };
 pub use driver::{
-    full_fidelity, passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,
-    ExecSpec, ForensicOutcome, RunReport,
+    passthrough_run, record_replay, record_replay_forensic, record_run, replay_run, ExecSpec,
+    ForensicOutcome, RunReport,
 };
 pub use observe::{
     counters_json, run_metrics_json, DivergenceReport, PhaseSpan, RunTelemetry, ThreadClockDelta,

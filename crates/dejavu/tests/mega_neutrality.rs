@@ -336,23 +336,22 @@ fn fig1_hot_survives_deopt_at_every_guard() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Coarse fingerprinting: the closed-form stepper's regime
+// 4. The closed-form stepper under the Full fingerprint
 // ---------------------------------------------------------------------------
 
-/// Every test above runs under `FingerprintMode::Full`, whose per-pc hash
-/// chain forces the step-by-step megablock loop. The production `Coarse`
-/// mode arms the closed-form stepper (whole iteration batches retired with
-/// one multiply), so the fast path needs its own neutrality proof — trace
+/// The Full fingerprint's per-pc hash is affine, so the closed-form
+/// stepper retires whole iteration batches (one multiply for the
+/// induction local, one powered iteration map for the hash) on the
+/// default path. That fast path needs its own neutrality proof — trace
 /// bytes, cross-tier replay, and a witness that it actually fired.
 #[test]
-fn coarse_fingerprint_arms_the_closed_form_and_stays_neutral() {
+fn full_fingerprint_arms_the_closed_form_and_stays_neutral() {
     for (seed, interval) in [(3u64, 97u64), (5, 211), (8, 10_000)] {
-        let s = spec_for(random_program(seed), seed + 1, interval)
-            .with_fingerprint(djvm::FingerprintMode::Coarse);
+        let s = spec_for(random_program(seed), seed + 1, interval);
         assert_three_tier_equal(
             &s,
             |_| {},
-            &format!("coarse seed {seed} interval {interval}"),
+            &format!("closed form seed {seed} interval {interval}"),
         );
     }
 
@@ -364,37 +363,36 @@ fn coarse_fingerprint_arms_the_closed_form_and_stays_neutral() {
     s.timer_base = 211;
     s.timer_jitter = 23;
     s.max_steps = 3_000_000;
-    let s = s.with_fingerprint(djvm::FingerprintMode::Coarse);
-    let rec_m = assert_three_tier_equal(&s, w.natives, "fig1_hot coarse");
+    let rec_m = assert_three_tier_equal(&s, w.natives, "fig1_hot closed form");
     assert!(
         rec_m.mega.closed_iters > 0,
-        "closed form must fire on fig1_hot under coarse fingerprints: {:?}",
+        "closed form must fire on fig1_hot under the Full fingerprint: {:?}",
         rec_m.mega
     );
 
-    // Cross-tier replay in the coarse regime: a tier-1 trace drives a
-    // closed-form tier-2 replay and vice versa, desync-free.
+    // Cross-tier replay with the closed form armed: a tier-1 trace drives
+    // a closed-form tier-2 replay and vice versa, desync-free.
     let quick = s.clone().with_quicken(true).with_mega(false);
     let mega = s.clone().with_quicken(true).with_mega(true);
     let (rec_q, trace_q) = record_run(&quick, w.natives, SymmetryConfig::full(), true);
     let (rep_m, de_m) = replay_run(&mega, trace_q, SymmetryConfig::full());
     assert!(
         de_m.is_empty(),
-        "coarse: desyncs replaying tier-1 trace on tier-2"
+        "closed form: desyncs replaying tier-1 trace on tier-2"
     );
     assert!(
         rec_q.matches(&rep_m),
-        "coarse: tier-1 record vs tier-2 replay"
+        "closed form: tier-1 record vs tier-2 replay"
     );
     let (rec_m2, trace_m) = record_run(&mega, w.natives, SymmetryConfig::full(), true);
     let (rep_q, de_q) = replay_run(&quick, trace_m, SymmetryConfig::full());
     assert!(
         de_q.is_empty(),
-        "coarse: desyncs replaying tier-2 trace on tier-1"
+        "closed form: desyncs replaying tier-2 trace on tier-1"
     );
     assert!(
         rec_m2.matches(&rep_q),
-        "coarse: tier-2 record vs tier-1 replay"
+        "closed form: tier-2 record vs tier-1 replay"
     );
 }
 

@@ -27,6 +27,7 @@
 //! instrumentation helper methods (the boot-image analogue).
 
 use crate::bytecode::{ClassId, MethodId, Op, Ty};
+use crate::fingerprint::StepMap;
 use crate::program::{Class, FieldDecl, Method, Program};
 use std::collections::{HashMap, VecDeque};
 
@@ -1523,6 +1524,9 @@ pub struct MegaStep {
     /// megablock execution unfolds into the same per-QOp cycle counters
     /// the quickened tier feeds.
     pub kind: usize,
+    /// Tid-free fingerprint map of the step's `width` pcs (the executing
+    /// thread's share is added once per block entry).
+    pub fp: StepMap,
 }
 
 /// A compiled hot-loop body: one iteration, head pc through the taken
@@ -1545,10 +1549,18 @@ pub struct MegaBlock {
     pub steps: Vec<MegaStep>,
     /// Closed-form stepper for canonical counting loops (see
     /// [`ClosedLoop::detect`]): lets the tier-2 engine retire a whole
-    /// batch of iterations with one multiply instead of stepping, when no
-    /// per-step observer (full fingerprint, profiler, deopt injection) is
-    /// attached. `None` for every other loop shape.
+    /// batch of iterations with one multiply instead of stepping (the
+    /// fingerprint advances by `fp_iter` raised to the batch size), when
+    /// no per-step observer (profiler, deopt injection) is attached.
+    /// `None` for every other loop shape.
     pub closed: Option<ClosedLoop>,
+    /// Tid-free fingerprint map of one whole iteration: the composition
+    /// of every step's `fp`.
+    pub fp_iter: StepMap,
+    /// `fingerprint::tid_coeff` of the iteration's `width` pcs:
+    /// `fp_iter.with_tid(tid, fp_iter_tid)` is the iteration's map on
+    /// thread `tid`.
+    pub fp_iter_tid: u64,
 }
 
 /// Closed-form description of a single-induction-variable counting loop:
@@ -1643,6 +1655,7 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
                 width: $width,
                 depth: $depth,
                 kind: $kind,
+                fp: StepMap::span(0, $method, $pc as u32, $width as u64),
             });
         }};
     }
@@ -1839,6 +1852,7 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
     let width: u64 = steps.iter().map(|s| s.width as u64).sum();
     let guards = steps.iter().filter(|s| s.op.is_guard()).count() as u32;
     let closed = ClosedLoop::detect(&steps);
+    let fp_iter = steps.iter().fold(StepMap::IDENTITY, |m, s| m.then(s.fp));
     Some(MegaBlock {
         method,
         head,
@@ -1847,6 +1861,8 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
         guards,
         steps,
         closed,
+        fp_iter,
+        fp_iter_tid: crate::fingerprint::tid_coeff(width),
     })
 }
 

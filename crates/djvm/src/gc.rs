@@ -119,7 +119,8 @@ fn root_values(vm: &Vm) -> Vec<Addr> {
 fn frame_refs(vm: &Vm, out: &mut Vec<Addr>) {
     for tid in 0..vm.threads.len() {
         for f in vm.frames(tid as u32) {
-            let Some(rm) = vm.program.compiled(f.method).ref_maps[f.pc as usize].as_ref() else {
+            let Some(rm) = vm.program.compiled(f.method).ref_maps[f.ref_pc as usize].as_ref()
+            else {
                 continue;
             };
             let locals_base = f.fp + 3;
@@ -374,7 +375,7 @@ fn copying(vm: &mut Vm) {
     for tid in 0..vm.threads.len() as u32 {
         let frames = vm.frames(tid);
         for f in frames {
-            let rm = vm.program.compiled(f.method).ref_maps[f.pc as usize]
+            let rm = vm.program.compiled(f.method).ref_maps[f.ref_pc as usize]
                 .clone()
                 .expect("paused frame at unreachable pc");
             let locals_base = f.fp + 3;
@@ -691,6 +692,98 @@ mod tests {
             assert_eq!(st, VmStatus::Halted);
             assert_eq!(vm.output, "400\n");
             assert!(vm.heap.stats.collections > 0);
+        }
+    }
+
+    /// A hook that injects `helper` as an instrumentation frame at the
+    /// first yield point of `target` — its method prologue, pc 0 — so the
+    /// caller frame saves pc `0 − 1` and resumes at pc 0.
+    struct HelperAtPrologue {
+        target: crate::bytecode::MethodId,
+        helper: crate::bytecode::MethodId,
+        fired: bool,
+    }
+
+    impl crate::hook::ExecHook for HelperAtPrologue {
+        fn on_yield_point(&mut self, vm: &mut Vm) -> crate::hook::YieldAction {
+            let t = &vm.threads[vm.sched.current as usize];
+            if !self.fired && t.method == self.target && t.pc == 0 {
+                self.fired = true;
+                return crate::hook::YieldAction {
+                    switch_now: false,
+                    run_helper: Some((self.helper, 0)),
+                };
+            }
+            crate::hook::YieldAction::NONE
+        }
+
+        fn on_clock_read(&mut self, vm: &mut Vm) -> i64 {
+            vm.read_live_clock()
+        }
+
+        fn on_native_call(
+            &mut self,
+            vm: &mut Vm,
+            native: crate::bytecode::NativeId,
+            args: &[i64],
+        ) -> crate::native::NativeOutcome {
+            vm.call_native_live(native, args)
+        }
+    }
+
+    #[test]
+    fn gc_inside_a_helper_injected_at_a_prologue_keeps_the_callers_refs() {
+        let mut pb = ProgramBuilder::new();
+        let node = pb.class("Node").field("v", Ty::Int).build();
+        // The helper allocates enough garbage to collect several times.
+        let helper = pb.method("helper", 1, 2).code(|a| {
+            a.iconst(0).store(1);
+            a.label("top");
+            a.load(1).iconst(400).ge().if_nz("done");
+            a.iconst(30).new_array_int().pop();
+            a.load(1).iconst(1).add().store(1);
+            a.goto("top");
+            a.label("done");
+            a.ret();
+        });
+        // The helper runs at `worker`'s pc 0, while its only reference —
+        // the argument — is live in a frame that has executed nothing.
+        let worker = pb.method_typed("worker", vec![Ty::Ref], 1, None).code(|a| {
+            a.load(0).get_field(0).print();
+            a.ret();
+        });
+        let m = pb.method("main", 0, 1).code(|a| {
+            a.new(node).store(0);
+            a.load(0).iconst(42).put_field(0);
+            a.load(0).call(worker);
+            a.halt();
+        });
+        let p = pb.finish(m).unwrap();
+        for gc in [GcKind::MarkSweep, GcKind::Copying] {
+            for quicken in [false, true] {
+                let mut vm = Vm::boot(
+                    Arc::new(p.clone()),
+                    VmConfig {
+                        heap_words: 8 * 1024,
+                        gc,
+                        quicken,
+                        ..VmConfig::default()
+                    },
+                    Box::new(FixedTimer::new(1_000_000)),
+                    Box::new(CycleClock::new(0, 100)),
+                )
+                .unwrap();
+                let mut hook = HelperAtPrologue {
+                    target: worker,
+                    helper,
+                    fired: false,
+                };
+                let st = run(&mut vm, &mut hook, 10_000_000);
+                assert!(hook.fired, "the helper was never injected");
+                assert_eq!(st, VmStatus::Halted, "{gc:?}: {:?}", vm.status);
+                assert!(vm.heap.stats.collections > 0, "{gc:?}: no GC ran");
+                assert_eq!(vm.output, "42\n", "{gc:?}, quicken {quicken}");
+            }
         }
     }
 }

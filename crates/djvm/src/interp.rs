@@ -206,9 +206,7 @@ fn run_quick(
                 cycles += k;
                 if fp_full && vm.instr_depth == 0 {
                     fpsteps += k;
-                    for i in 0..k as u32 {
-                        fph = crate::fingerprint::Fingerprint::mix_step(fph, tid, method, pc + i);
-                    }
+                    fph = crate::fingerprint::Fingerprint::mix_span(fph, tid, method, pc, k as u32);
                 }
                 to_tick -= k;
                 n += k;
@@ -550,6 +548,10 @@ fn run_mega(
     let mut to_tick = vm.cycles_to_tick;
     let fp_full = vm.fingerprint.mode() == crate::fingerprint::FingerprintMode::Full;
     let (mut fph, mut fpsteps) = vm.fingerprint.step_state();
+    // The block's fingerprint maps are tid-free; this thread's share is a
+    // per-width constant for the steps and one term for the iteration.
+    let tid_c = crate::fingerprint::span_tid_terms(tid);
+    let iter_map = block.fp_iter.with_tid(tid, block.fp_iter_tid);
     // Yield points batched away so far; credited (to the counters and the
     // hook) on every exit path, before any real hook consult can happen.
     let mut skipped: u64 = 0;
@@ -620,14 +622,17 @@ fn run_mega(
     // Batched accounting for one micro-op of `width` source instructions —
     // bit-identical to `account_fused!` once committed, with the tick block
     // statically absent (the entry gate guarantees no tick fires in the
-    // iteration). The fingerprint chain cannot be deferred (each mix feeds
-    // the next), so in `Full` mode it stays per-pc.
+    // iteration). The fingerprint advances eagerly, by the step's map, so
+    // a deopt or Call/Ret flush after any step hands off the exact prefix
+    // hash.
     macro_rules! account {
         ($s:expr) => {{
             if fp_full {
-                for i in 0..$s.width {
-                    fph = crate::fingerprint::Fingerprint::mix_step(fph, tid, $s.method, $s.pc + i);
+                fph = crate::fingerprint::StepMap {
+                    a: $s.fp.a,
+                    c: $s.fp.c + tid_c[$s.width as usize],
                 }
+                .apply(fph);
             }
             if prof_on {
                 if let Some(p) = vm.telem.profile.as_deref_mut() {
@@ -663,19 +668,23 @@ fn run_mega(
         // Closed-form fast path: a canonical counting loop retires a whole
         // batch of passing iterations with one multiply, provided no
         // per-step observer needs the iterations replayed step-by-step
-        // (full-fingerprint pc mixes, profiler attribution, or forced
-        // deopt injection). The final memory image is bit-identical: the
-        // only per-iteration effects are the induction local (written with
-        // its closed-form value) and operand-stack traffic below a
-        // restored sp, which nothing live can observe. When the next
+        // (profiler attribution or forced deopt injection). The final
+        // memory image is bit-identical: the only per-iteration effects
+        // are the induction local (written with its closed-form value) and
+        // operand-stack traffic below a restored sp, which nothing live
+        // can observe. The fingerprint's per-pc hash is affine, so `kk`
+        // iterations of it are one map, `iter_map^kk`. When the next
         // iteration would fail its guard (`kk == 0`), fall through to the
         // step loop so the deopt happens at the exact guard pc.
-        if !fp_full && !prof_on && !inject {
+        if !prof_on && !inject {
             if let Some(cl) = block.closed {
                 let slot = (base + cl.local as u64) as usize;
                 let x0 = vm.heap.mem[slot] as i64;
                 let kk = cl.passes(x0, avail);
                 if kk > 0 {
+                    if fp_full {
+                        fph = iter_map.pow(kk).apply(fph);
+                    }
                     vm.heap.mem[slot] = (x0 as i128 + kk as i128 * cl.step as i128) as i64 as Word;
                     full_iters += kk;
                     vm.mega.stats.closed_iters += kk;
@@ -2892,14 +2901,13 @@ mod tests {
         assert_eq!(vm.mega.stats.entries, 0);
     }
 
-    /// Like [`boot_mega`] but with coarse fingerprinting — the production
-    /// setting, and the one that arms the closed-form fast path (full
-    /// per-pc hashing forces the step-by-step loop).
-    fn boot_coarse(p: crate::program::Program, quicken: bool, mega: bool, interval: u64) -> Vm {
+    /// Like [`boot_mega`] but choosing the tiers: the default (Full)
+    /// fingerprint arms the closed-form fast path, whose batches advance
+    /// the per-pc hash through one powered iteration map.
+    fn boot_tiers(p: crate::program::Program, quicken: bool, mega: bool, interval: u64) -> Vm {
         let cfg = VmConfig {
             quicken,
             mega,
-            fingerprint: crate::fingerprint::FingerprintMode::Coarse,
             ..VmConfig::default()
         };
         Vm::boot(
@@ -2912,15 +2920,15 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_is_neutral_under_coarse_fingerprint() {
-        // Under coarse fingerprinting the closed-form stepper retires whole
-        // iteration batches with one multiply; every observable (including
-        // the coarse fingerprint, which hashes scheduling + output) must
-        // still match both lower tiers at every timer shape.
+    fn closed_form_is_neutral_under_full_fingerprint() {
+        // The closed-form stepper retires whole iteration batches with one
+        // multiply (and one powered map for the per-pc hash); every
+        // observable, the Full fingerprint included, must still match both
+        // lower tiers at every timer shape.
         for interval in [3u64, 29, 97, 211, 10_000] {
-            let mut gen = boot_coarse(mega_workout(), false, false, interval);
-            let mut quick = boot_coarse(mega_workout(), true, false, interval);
-            let mut mega = boot_coarse(mega_workout(), true, true, interval);
+            let mut gen = boot_tiers(mega_workout(), false, false, interval);
+            let mut quick = boot_tiers(mega_workout(), true, false, interval);
+            let mut mega = boot_tiers(mega_workout(), true, true, interval);
             let (mut h1, mut h2, mut h3) = (Passthrough, Passthrough, Passthrough);
             run(&mut gen, &mut h1, 10_000_000);
             run(&mut quick, &mut h2, 10_000_000);
@@ -2970,8 +2978,8 @@ mod tests {
     #[test]
     fn closed_form_wraps_like_the_interpreter() {
         for interval in [7u64, 211, 10_000] {
-            let mut quick = boot_coarse(wrap_workout(), true, false, interval);
-            let mut mega = boot_coarse(wrap_workout(), true, true, interval);
+            let mut quick = boot_tiers(wrap_workout(), true, false, interval);
+            let mut mega = boot_tiers(wrap_workout(), true, true, interval);
             let (mut h1, mut h2) = (Passthrough, Passthrough);
             run(&mut quick, &mut h1, 10_000_000);
             run(&mut mega, &mut h2, 10_000_000);

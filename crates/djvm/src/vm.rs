@@ -885,6 +885,8 @@ impl Vm {
                 self.grow_stack(frame_words as u64)?;
             }
         }
+        // `frames` tells injected frames apart by their discarded result.
+        debug_assert_eq!(args_from_stack, !discard_result);
         let cur = self.sched.current as usize;
         let t = &mut self.threads[cur];
         let caller_pc = if args_from_stack {
@@ -986,6 +988,7 @@ impl Vm {
         let mut sp = t.sp;
         let mut method = t.method;
         let mut pc = t.pc;
+        let mut ref_pc = t.pc;
         loop {
             let nlocals = self.program.method(method).nlocals;
             let depth = (sp - (fp + 3 + nlocals as u64)) as usize;
@@ -993,6 +996,7 @@ impl Vm {
                 fp,
                 method,
                 pc,
+                ref_pc,
                 nlocals,
                 depth,
             });
@@ -1004,6 +1008,13 @@ impl Vm {
             sp = fp;
             fp = saved_fp;
             pc = saved.caller_pc;
+            // Injected frames are exactly the result-discarding ones (see
+            // `push_frame`); their caller resumes at the saved pc + 1.
+            ref_pc = if saved.discard_result {
+                pc.wrapping_add(1)
+            } else {
+                pc
+            };
             method = self.heap.mem[fp as usize + 1] as MethodId;
         }
         out
@@ -1042,9 +1053,7 @@ impl Vm {
             for f in self.frames(t.tid) {
                 d.add(f.method as u64).add(f.pc as u64).add(f.depth as u64);
                 let cm = self.program.compiled(f.method);
-                // The caller of a frame injected at pc 0 saves pc 0 - 1
-                // (it resumes at saved + 1): no ref map to read there.
-                let Some(rm) = cm.ref_maps.get(f.pc as usize).and_then(Option::as_ref) else {
+                let Some(rm) = cm.ref_maps[f.ref_pc as usize].as_ref() else {
                     continue;
                 };
                 let locals_base = f.fp + 3;
@@ -1298,6 +1307,12 @@ pub struct FrameView {
     pub fp: Addr,
     pub method: MethodId,
     pub pc: u32,
+    /// The pc whose verifier ref map describes this frame's slots: `pc`,
+    /// except in the caller of an injected frame. That caller saved
+    /// `resume − 1` without executing it, so its slots are as at
+    /// `resume = pc + 1` (which is pc 0 when the frame was injected at
+    /// its method's prologue, where `pc` is `u32::MAX`).
+    pub ref_pc: u32,
     pub nlocals: u16,
     /// Operand-stack depth.
     pub depth: usize,

@@ -159,6 +159,17 @@ if [ "$rc" -ne 1 ]; then
     echo "verify: corrupt corpus trace exited $rc, want 1" >&2
     exit 1
 fi
+# A policy from before fingerprint versioning (no fp_version) is stale:
+# an exit-1 artifact error with a re-record hint, never a divergence (2).
+cp tests/corpus/clock_spin_s1.djvb "$CDIR/clock_spin_s1.djvb"
+sed 's/"fp_version":[0-9]*,//' tests/corpus/clock_spin_s1.policy.json \
+    > "$CDIR/clock_spin_s1.policy.json"
+rc=0
+"$CLI" check "$CDIR" > "$CDIR/stale.out" 2>&1 || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "stale policy" "$CDIR/stale.out"; then
+    echo "verify: stale corpus policy exited $rc, want 1 with a stale-policy message" >&2
+    exit 1
+fi
 # Re-recording the corpus on an unchanged platform reproduces the
 # committed bytes exactly (the corpus itself is deterministic).
 "$CLI" corpus record "$CDIR/rerecord" > /dev/null
@@ -242,6 +253,20 @@ BENCH_SMOKE=1 BENCH_DIR="$NMDIR" DJVM_NO_MEGA=1 \
     cargo bench --offline -p bench --bench interp
 require "$NMDIR/TELEMETRY_interp.json"
 cmp "$QDIR/TELEMETRY_interp.json" "$NMDIR/TELEMETRY_interp.json"
+
+# The tier-2 bar: recording fig1_hot on megablocks must be at least 1.5x
+# faster than on the quickened tier, as the median ratio of interleaved
+# record pairs (full sampling, not the smoke run).
+GDIR="$BENCH_DIR/tier2-gate"
+BENCH_SMOKE=0 BENCH_SAMPLES=15 BENCH_DIR="$GDIR" \
+    cargo bench --offline -p bench --bench interp
+require "$GDIR/BENCH_interp.json"
+mx=$(grep -o '"record_mega_over_quickened_mx":[0-9]*' "$GDIR/BENCH_interp.json" | cut -d: -f2)
+if [ -z "$mx" ] || [ "$mx" -lt 1500 ]; then
+    echo "verify: record_mega over record_quickened is ${mx} milli-x, want >= 1500 (1.5x)" >&2
+    exit 1
+fi
+echo "tier2: record_mega_over_quickened_mx=$mx"
 
 echo "== fleet: 64 concurrent sessions, fingerprint parity, clean shutdown =="
 FDIR="$BENCH_DIR/fleet-verify"

@@ -10,7 +10,9 @@
 //!
 //! * **corrupt** — the file or its policy cannot even be decoded
 //!   (I/O error, bad magic, CRC mismatch, malformed JSON, unknown
-//!   workload). Maps to process exit 1.
+//!   workload), or the policy is *stale*: its `fp_version` (absent before
+//!   versioning) predates this build's fingerprint hash, so its expected
+//!   fingerprint cannot be compared. Maps to process exit 1.
 //! * **violation** — the trace decodes but the policy does not hold
 //!   (divergent replay, drifted fingerprint, oversized trace, slow seek,
 //!   forbidden sequence present). Maps to process exit 2. A trace in
@@ -47,8 +49,40 @@ pub fn corpus_spec(w: &workloads::Workload, seed: u64) -> ExecSpec {
     s
 }
 
+/// Version of the fingerprint hash this build computes, written into every
+/// policy as `fp_version`. Version 2 is the affine per-instruction step
+/// hash (mod 2^61 − 1); policies without the field predate it.
+pub const FP_VERSION: u64 = 2;
+
+/// Why a policy file cannot be checked against. Both are exit class 1:
+/// the artifact, not the platform, is at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PolicyError {
+    /// Written under another fingerprint hash (`None`: before versioning).
+    Stale { found: Option<u64> },
+    /// Not a policy: bad JSON, or a missing or mistyped field.
+    Invalid(String),
+}
+
+impl std::fmt::Display for PolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PolicyError::Stale { found } => {
+                let found = found.map_or("absent".to_owned(), |v| v.to_string());
+                write!(
+                    f,
+                    "stale policy: fp_version {found}, this build hashes fingerprints \
+                     as fp_version {FP_VERSION}; re-record with `dejavu-cli corpus record`"
+                )
+            }
+            PolicyError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Sidecar policy for one corpus trace (`<stem>.policy.json`, canonical
-/// JSON, keys sorted).
+/// JSON, keys sorted). Its `fp_version` is always [`FP_VERSION`]: a file
+/// with any other one does not parse ([`PolicyError::Stale`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Policy {
     /// Registry name of the workload the trace was recorded from.
@@ -88,6 +122,7 @@ impl Policy {
                 "forbid",
                 Json::Arr(self.forbid.iter().map(|s| Json::Str(s.clone())).collect()),
             ),
+            ("fp_version", Json::UInt(FP_VERSION)),
             ("max_seek_events", Json::UInt(self.max_seek_events)),
             ("max_trace_bytes", Json::UInt(self.max_trace_bytes)),
             (
@@ -106,10 +141,31 @@ impl Policy {
         j.to_canonical_string()
     }
 
-    /// Parse a policy file's text. Any schema problem is a `corrupt`-class
-    /// error (the policy is part of the artifact).
-    pub fn parse(text: &str) -> Result<Policy, String> {
-        let j = Json::parse(text.trim()).map_err(|e| format!("policy is not valid JSON: {e}"))?;
+    /// Parse a policy file's text. Any schema problem, and a stale
+    /// `fp_version`, is a `corrupt`-class error (the policy is part of the
+    /// artifact).
+    pub fn parse(text: &str) -> Result<Policy, PolicyError> {
+        let j = Json::parse(text.trim())
+            .map_err(|e| PolicyError::Invalid(format!("policy is not valid JSON: {e}")))?;
+        match j.get("fp_version").map(|v| v.as_u64()) {
+            Some(Ok(FP_VERSION)) => {}
+            Some(Ok(v)) if v > FP_VERSION => {
+                return Err(PolicyError::Invalid(format!(
+                    "policy fp_version {v} is newer than this build's {FP_VERSION}"
+                )))
+            }
+            Some(Ok(v)) => return Err(PolicyError::Stale { found: Some(v) }),
+            Some(Err(e)) => {
+                return Err(PolicyError::Invalid(format!(
+                    "policy field `fp_version`: {e}"
+                )))
+            }
+            None => return Err(PolicyError::Stale { found: None }),
+        }
+        Self::parse_fields(&j).map_err(PolicyError::Invalid)
+    }
+
+    fn parse_fields(j: &Json) -> Result<Policy, String> {
         let field_u64 = |k: &str| -> Result<u64, String> {
             j.field(k)
                 .and_then(|v| v.as_u64())
@@ -438,7 +494,9 @@ pub fn check_corpus(dir: &Path) -> Result<CorpusReport, String> {
         let policy = match Policy::parse(&policy_text) {
             Ok(p) => p,
             Err(e) => {
-                report.checks.push(TraceCheck::corrupt(&stem, e));
+                report
+                    .checks
+                    .push(TraceCheck::corrupt(&stem, e.to_string()));
                 continue;
             }
         };
@@ -727,6 +785,41 @@ mod tests {
         assert!(Policy::parse(&bad_mode).is_err());
         assert!(Policy::parse("{}").is_err());
         assert!(Policy::parse("not json").is_err());
+    }
+
+    #[test]
+    fn policy_without_current_fp_version_is_stale() {
+        let p = Policy {
+            workload: "x".into(),
+            seed: 0,
+            expected_fingerprint: 0,
+            expected_state_digest: 0,
+            max_trace_bytes: 0,
+            max_seek_events: 0,
+            forbid: vec![],
+            strict: true,
+        };
+        let text = p.to_canonical_string();
+        assert!(
+            text.contains(&format!("\"fp_version\":{FP_VERSION}")),
+            "{text}"
+        );
+        let unversioned = text.replace(&format!("\"fp_version\":{FP_VERSION},"), "");
+        assert_eq!(
+            Policy::parse(&unversioned),
+            Err(PolicyError::Stale { found: None })
+        );
+        let old = text.replace(&format!("\"fp_version\":{FP_VERSION}"), "\"fp_version\":1");
+        let err = Policy::parse(&old).unwrap_err();
+        assert_eq!(err, PolicyError::Stale { found: Some(1) });
+        assert!(err
+            .to_string()
+            .contains("re-record with `dejavu-cli corpus record`"));
+        let newer = text.replace(&format!("\"fp_version\":{FP_VERSION}"), "\"fp_version\":99");
+        assert!(matches!(
+            Policy::parse(&newer),
+            Err(PolicyError::Invalid(_))
+        ));
     }
 
     #[test]

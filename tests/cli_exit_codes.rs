@@ -221,3 +221,32 @@ fn check_subcommand_exit_classes() {
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(empty);
 }
+
+#[test]
+fn stale_policy_exits_1_with_rerecord_hint() {
+    // A policy from before fingerprint versioning (no `fp_version`) names
+    // a fingerprint this build cannot compute: the artifact is stale, an
+    // exit-1 error, never a divergence (2).
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = scratch("check-stale");
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let policy_path = dir.join("clock_spin_s7.policy.json");
+    let text = std::fs::read_to_string(&policy_path).unwrap();
+    let version = format!("\"fp_version\":{},", dejavu_repro::corpus::FP_VERSION);
+    assert!(text.contains(&version), "{text}");
+    std::fs::write(&policy_path, text.replace(&version, "")).unwrap();
+    let out = cli()
+        .args(["check", dir.to_str().unwrap()])
+        .output()
+        .expect("spawn dejavu-cli");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("stale policy") && stdout.contains("dejavu-cli corpus record"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
