@@ -8,9 +8,10 @@
 //! tier-over-tier speedups so a silent failure to promote shows up in CI.
 //!
 //! Mega and quickened record/replay are measured as interleaved pairs
-//! (`Group::bench_pair`): `speedups.record_mega_over_quickened_mx` is the
-//! median per-pair ratio, the figure `scripts/verify.sh` gates at ≥1.5×,
-//! and `meta.record_pairs` / `meta.replay_pairs` carry its quartiles.
+//! (`Group::bench_pair`): `speedups.record_mega_over_quickened_mx` and
+//! `speedups.replay_mega_over_quickened_mx` are the median per-pair
+//! ratios, the figures `scripts/verify.sh` gates, and
+//! `meta.record_pairs` / `meta.replay_pairs` carry their quartiles.
 //!
 //! The attached TELEMETRY document comes from *environment-default*
 //! quickening with tier-2 pinned off: running this bench under
@@ -128,6 +129,10 @@ fn main() {
         (
             "record_mega_over_quickened_mx",
             codec::Json::UInt(record_pairs.median_mx()),
+        ),
+        (
+            "replay_mega_over_quickened_mx",
+            codec::Json::UInt(replay_pairs.median_mx()),
         ),
     ]);
     // The closed-form stepper carries fig1_hot's batches on the default

@@ -353,20 +353,44 @@ impl<'a> RangeDecoder<'a> {
 }
 
 /// Order-1 bit-tree model: one 255-probability tree per previous byte.
-/// Allocated fresh per (de)compression so streams are independent.
-fn rc_model() -> Vec<[Prob; 256]> {
-    vec![[Prob::FRESH; 256]; 256]
+/// Fresh per (de)compression so streams are independent. A tree is
+/// initialized when its context first occurs: a block touches a few of
+/// the 256 contexts, and filling all of them (256 KiB) used to cost more
+/// than coding a small block.
+struct RcModel {
+    /// 1 + the index in `trees` of each context's tree; 0 = not yet seen.
+    slot: [u16; 256],
+    trees: Vec<[Prob; 256]>,
+}
+
+impl RcModel {
+    fn new() -> Self {
+        Self {
+            slot: [0; 256],
+            // Room for every context: growing never copies trees.
+            trees: Vec::with_capacity(256),
+        }
+    }
+
+    #[inline]
+    fn tree(&mut self, ctx: usize) -> &mut [Prob; 256] {
+        if self.slot[ctx] == 0 {
+            self.trees.push([Prob::FRESH; 256]);
+            self.slot[ctx] = self.trees.len() as u16;
+        }
+        &mut self.trees[self.slot[ctx] as usize - 1]
+    }
 }
 
 /// Compress `src` with the adaptive order-1 range coder. Pair with
 /// [`entropy_decompress`] and the raw length. Worst case (already-random
 /// input) expands by a fraction of a percent plus a 5-byte tail.
 pub fn entropy_compress(src: &[u8]) -> Vec<u8> {
-    let mut model = rc_model();
+    let mut model = RcModel::new();
     let mut enc = RangeEncoder::new();
     let mut prev: usize = 0;
     for &b in src {
-        let tree = &mut model[prev];
+        let tree = model.tree(prev);
         let mut node = 1usize;
         for i in (0..8).rev() {
             let bit = ((b >> i) & 1) as u32;
@@ -387,12 +411,12 @@ pub fn entropy_decompress(src: &[u8], raw_len: usize) -> Option<Vec<u8>> {
     if src.len() > raw_len.saturating_add(raw_len / 8) + 16 {
         return None;
     }
-    let mut model = rc_model();
+    let mut model = RcModel::new();
     let mut dec = RangeDecoder::new(src);
     let mut out = Vec::with_capacity(raw_len);
     let mut prev: usize = 0;
     for _ in 0..raw_len {
-        let tree = &mut model[prev];
+        let tree = model.tree(prev);
         let mut node = 1usize;
         for _ in 0..8 {
             let bit = dec.decode_bit(&mut tree[node]);

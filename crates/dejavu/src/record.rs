@@ -192,6 +192,19 @@ impl ExecHook for DejaVuRecorder {
         YieldAction::NONE
     }
 
+    fn instr_yields_inert(&self) -> bool {
+        // With liveClock, helper yield points touch nothing: tier 2 may
+        // batch them. The ablated variant counts them, so it stays tier-1.
+        self.common.sym.live_clock
+    }
+
+    fn ticks_inert(&self, vm: &Vm) -> bool {
+        // The preempt bit is read only at counted yield points, and none
+        // happen inside a helper frame: a tick there is first observed
+        // after the helper returns, whenever it fired.
+        vm.instr_depth > 0
+    }
+
     fn quiet_yield_horizon(&self, vm: &Vm) -> u64 {
         // Like passthrough, recording switches only on the hardware preempt
         // bit; in a tick-free window every consult just advances `nyp`.

@@ -191,6 +191,17 @@ impl ExecHook for DejaVuReplayer {
         YieldAction::NONE
     }
 
+    fn instr_yields_inert(&self) -> bool {
+        self.common.sym.live_clock
+    }
+
+    fn ticks_inert(&self, _vm: &Vm) -> bool {
+        // Fig. 2-(B) never reads the preempt bit, and the quiet horizon
+        // depends only on the recorded delta: the replay VM's own timer
+        // ticks are invisible to the replayer everywhere.
+        true
+    }
+
     fn quiet_yield_horizon(&self, _vm: &Vm) -> u64 {
         // The consult that brings `remaining` to zero forces the recorded
         // switch, so exactly `remaining - 1` consults ahead are quiet. With

@@ -9,7 +9,10 @@
 //!    including cross-tier replay (a trace recorded under one tier
 //!    replays accurately under another);
 //! 3. a deopt-at-every-guard sweep on `fig1_hot` and forced-deopt stress
-//!    on the `recursion_storm` / `lock_convoy` schedulers' worst cases.
+//!    on the `recursion_storm` / `lock_convoy` schedulers' worst cases;
+//! 4. the DejaVu helpers on tier 2: every registry workload records and
+//!    replays identically with tier 2 on and off while the flush/fill
+//!    loops run as closed-form megablocks across timer ticks.
 
 use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig};
 use djvm::{Program, ProgramBuilder, SplitMix64, Ty};
@@ -424,4 +427,100 @@ fn stress_workloads_survive_forced_deopt_strides() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// 5. Cross-optimized instrumentation: the helpers on tier 2
+// ---------------------------------------------------------------------------
+
+/// The flush/fill helpers tier up with the application and run their
+/// loops as closed-form megablocks, batches cross timer ticks the hooks
+/// cannot see — and nothing the guest can observe moves: per workload,
+/// record and replay on tier 2 and under `with_mega(false)` give
+/// byte-identical traces and equal fingerprints, state digests, cycles
+/// and `VmCounters`.
+#[test]
+fn instrumentation_helpers_on_tier2_are_invisible() {
+    let mut helper_iters = 0;
+    for w in workloads::registry() {
+        let mut s = ExecSpec::new((w.build)()).with_seed(3);
+        s.timer_base = 211;
+        s.timer_jitter = 60;
+        s.max_steps = 3_000_000;
+        let quick = s.clone().with_quicken(true).with_mega(false);
+        let mega = s.clone().with_quicken(true).with_mega(true);
+        let (rec_q, trace_q) = record_run(&quick, w.natives, SymmetryConfig::full(), true);
+        let (rec_m, trace_m) = record_run(&mega, w.natives, SymmetryConfig::full(), true);
+        let name = w.name;
+        assert_eq!(trace_q.encoded(), trace_m.encoded(), "{name}: trace bytes");
+        assert_eq!(rec_q.fingerprint, rec_m.fingerprint, "{name}: fingerprint");
+        assert_eq!(rec_q.state_digest, rec_m.state_digest, "{name}: digest");
+        assert_eq!(rec_q.counters, rec_m.counters, "{name}: counters");
+        assert_eq!(rec_q.cycles, rec_m.cycles, "{name}: cycles");
+        // Each tier replays each tier's trace: all four runs agree.
+        let mut rep_m = None;
+        for (trace, from) in [(&trace_q, "tier-1 trace"), (&trace_m, "tier-2 trace")] {
+            let (rep_q, de_q) = replay_run(&quick, trace.clone(), SymmetryConfig::full());
+            let (rep, de_m) = replay_run(&mega, trace.clone(), SymmetryConfig::full());
+            assert!(
+                de_q.is_empty() && de_m.is_empty(),
+                "{name}: {from} desynced"
+            );
+            for r in [&rep_q, &rep] {
+                assert!(rec_q.matches(r), "{name}: {from} replay");
+                assert_eq!(r.counters, rep_q.counters, "{name}: {from} replay counters");
+                assert_eq!(r.cycles, rep_q.cycles, "{name}: {from} replay cycles");
+            }
+            rep_m = Some(rep);
+        }
+        let rep_m = rep_m.unwrap();
+        helper_iters += rec_m.mega.instr_iters + rep_m.mega.instr_iters;
+        if name == "fig1_hot" {
+            // Both helpers tier up and retire whole loops in closed form.
+            for (st, what) in [(&rec_m.mega, "record"), (&rep_m.mega, "replay")] {
+                assert!(
+                    st.instr_iters > 1_000,
+                    "{what}: helper loops stayed tier-1: {st:?}"
+                );
+                assert!(
+                    st.closed_iters >= st.instr_iters,
+                    "{what}: helper iterations are closed-form: {st:?}"
+                );
+            }
+            assert!(
+                rec_m.mega.tier_ups > rep_m.mega.tier_ups,
+                "record's flush helpers tier up beyond replay's fill: {:?} vs {:?}",
+                rec_m.mega,
+                rep_m.mega
+            );
+        }
+    }
+    assert!(helper_iters > 0, "no helper loop ever ran on tier 2");
+}
+
+/// With `live_clock` ablated, helper yield points tick the logical clock,
+/// so the DejaVu hooks do not declare them inert and helpers stay on
+/// tier 1 — and the ablated run is still tier-neutral.
+#[test]
+fn live_clock_ablation_keeps_helpers_on_tier1() {
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "fig1_hot")
+        .unwrap();
+    let mut s = ExecSpec::new((w.build)()).with_seed(3);
+    s.timer_base = 211;
+    s.timer_jitter = 60;
+    let sym = SymmetryConfig::ablate(dejavu::Ablation::LiveClock);
+    let quick = s.clone().with_quicken(true).with_mega(false);
+    let mega = s.clone().with_quicken(true).with_mega(true);
+    let (rec_q, trace_q) = record_run(&quick, w.natives, sym, true);
+    let (rec_m, trace_m) = record_run(&mega, w.natives, sym, true);
+    assert_eq!(trace_q.encoded(), trace_m.encoded(), "ablated trace bytes");
+    assert!(rec_q.matches(&rec_m) && rec_q.counters == rec_m.counters);
+    assert_eq!(rec_m.mega.instr_iters, 0, "{:?}", rec_m.mega);
+    assert!(rec_m.mega.iters > 0, "application loops still tier up");
+    let (rep_q, _) = replay_run(&quick, trace_q, sym);
+    let (rep_m, _) = replay_run(&mega, trace_m, sym);
+    assert!(rep_q.matches(&rep_m) && rep_q.counters == rep_m.counters);
+    assert_eq!(rep_m.mega.instr_iters, 0, "{:?}", rep_m.mega);
 }

@@ -1544,6 +1544,9 @@ pub struct MegaBlock {
     /// Yield points consumed per full iteration: the taken backedge plus
     /// one method-prologue yield per inlined call.
     pub yields: u64,
+    /// The backedge's own share of `yields` (the rest belong to inlined
+    /// call prologues, credited at each `Call` step).
+    pub back_yield: u64,
     /// Number of guard steps (side exits) per iteration.
     pub guards: u32,
     pub steps: Vec<MegaStep>,
@@ -1566,10 +1569,12 @@ pub struct MegaBlock {
 /// Closed-form description of a single-induction-variable counting loop:
 /// per iteration the induction local advances by `step` (wrapping add) and
 /// a single order-comparison guard against `bound` decides whether the
-/// iteration runs. Everything else in the iteration is transient operand
-/// stack traffic with no observable effect (the state digest and GC walk
-/// live stack depth only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// iteration runs. Every other local the iteration writes is an
+/// accumulator that adds a loop-invariant constant, so `k` iterations
+/// retire it as `local += k·c` (wrapping). Everything else is transient
+/// operand stack traffic with no observable effect (the state digest and
+/// GC walk live stack depth only).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosedLoop {
     /// The induction local (frame-relative).
     pub local: u16,
@@ -1585,6 +1590,9 @@ pub struct ClosedLoop {
     /// induction variable before the increment (head-guarded loop), 1 when
     /// it reads the incremented value (tail-guarded / do-while).
     pub eval_offset: u32,
+    /// Accumulator locals and their per-iteration (wrapping) increments,
+    /// one entry per local, in first-write order.
+    pub accs: Vec<(u16, i64)>,
 }
 
 /// All loop-head pcs of a compiled method: targets of its backedge
@@ -1851,6 +1859,10 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
 
     let width: u64 = steps.iter().map(|s| s.width as u64).sum();
     let guards = steps.iter().filter(|s| s.op.is_guard()).count() as u32;
+    let calls = steps
+        .iter()
+        .filter(|s| matches!(s.op, MegaOp::Call { .. }))
+        .count() as u64;
     let closed = ClosedLoop::detect(&steps);
     let fp_iter = steps.iter().fold(StepMap::IDENTITY, |m, s| m.then(s.fp));
     Some(MegaBlock {
@@ -1858,6 +1870,7 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
         head,
         width,
         yields,
+        back_yield: yields - calls,
         guards,
         steps,
         closed,
@@ -1886,10 +1899,13 @@ impl CmpFn {
 impl ClosedLoop {
     /// Recognize the two canonical counting-loop shapes:
     ///
-    /// * head-guarded: `[GuardLoadConstCmpIf, LoadConstAlu(Add), Store,
-    ///   BackGoto]` over a single induction local (fig. 1's delay loops);
-    /// * tail-guarded (do-while): `[LoadConstAlu(Add), Store,
-    ///   BackLoadConstCmpIf]` over a single induction local.
+    /// * head-guarded: `[GuardLoadConstCmpIf, body.., BackGoto]` (fig. 1's
+    ///   delay loops, the DejaVu helpers);
+    /// * tail-guarded (do-while): `[body.., BackLoadConstCmpIf]`;
+    ///
+    /// where the body is a sequence of `LoadConstAlu(Add) l, c; Store l`
+    /// pairs: exactly one on the guarded induction local, any number on
+    /// other (accumulator) locals.
     ///
     /// Only order comparisons qualify: with a monotone trajectory they
     /// make the per-iteration pass predicate prefix-monotone, which is
@@ -1897,60 +1913,56 @@ impl ClosedLoop {
     /// (`Eq`/`Ne` guards can pass again *after* failing once, so they stay
     /// on the step-by-step path.)
     fn detect(steps: &[MegaStep]) -> Option<ClosedLoop> {
-        let order = |f: CmpFn| matches!(f, CmpFn::Lt | CmpFn::Le | CmpFn::Gt | CmpFn::Ge);
-        match steps {
-            [g, inc, st, term] => {
-                let (
-                    MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if },
-                    MegaOp::LoadConstAlu {
-                        a: a2,
-                        v: step,
-                        f: AluFn::Add,
-                    },
-                    MegaOp::Store(a3),
-                    MegaOp::BackGoto,
-                ) = (g.op, inc.op, st.op, term.op)
-                else {
-                    return None;
-                };
-                (a == a2 && a2 == a3 && order(f)).then_some(ClosedLoop {
-                    local: a,
-                    step,
-                    bound: v,
-                    f,
-                    exit_if: jump_if,
-                    eval_offset: 0,
-                })
-            }
-            [inc, st, term] => {
-                let (
-                    MegaOp::LoadConstAlu {
-                        a,
-                        v: step,
-                        f: AluFn::Add,
-                    },
-                    MegaOp::Store(a2),
-                    MegaOp::BackLoadConstCmpIf {
-                        a: a3,
-                        v,
-                        f,
-                        jump_if,
-                    },
-                ) = (inc.op, st.op, term.op)
-                else {
-                    return None;
-                };
-                (a == a2 && a2 == a3 && order(f)).then_some(ClosedLoop {
-                    local: a,
-                    step,
-                    bound: v,
-                    f,
-                    exit_if: !jump_if,
-                    eval_offset: 1,
-                })
-            }
-            _ => None,
+        let (body, (a, bound, f, exit_if, eval_offset)) = match steps {
+            [g, body @ .., term] if term.op == MegaOp::BackGoto => match g.op {
+                MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if } => (body, (a, v, f, jump_if, 0)),
+                _ => return None,
+            },
+            [body @ .., term] => match term.op {
+                MegaOp::BackLoadConstCmpIf { a, v, f, jump_if } => (body, (a, v, f, !jump_if, 1)),
+                _ => return None,
+            },
+            [] => return None,
+        };
+        if !matches!(f, CmpFn::Lt | CmpFn::Le | CmpFn::Gt | CmpFn::Ge) || body.len() % 2 != 0 {
+            return None;
         }
+        let mut step = None;
+        let mut accs: Vec<(u16, i64)> = Vec::new();
+        for pair in body.chunks_exact(2) {
+            let (
+                MegaOp::LoadConstAlu {
+                    a: local,
+                    v: c,
+                    f: AluFn::Add,
+                },
+                MegaOp::Store(dst),
+            ) = (pair[0].op, pair[1].op)
+            else {
+                return None;
+            };
+            if local != dst {
+                return None;
+            }
+            if local == a {
+                if step.replace(c).is_some() {
+                    return None; // the induction local advances once
+                }
+            } else if let Some(acc) = accs.iter_mut().find(|(l, _)| *l == local) {
+                acc.1 = acc.1.wrapping_add(c);
+            } else {
+                accs.push((local, c));
+            }
+        }
+        Some(ClosedLoop {
+            local: a,
+            step: step?,
+            bound,
+            f,
+            exit_if,
+            eval_offset,
+            accs,
+        })
     }
 
     /// How many consecutive iterations pass their guard starting from
@@ -1963,12 +1975,12 @@ impl ClosedLoop {
         let step = self.step as i128;
         let off = self.eval_offset as i128;
         // Highest iteration count whose last evaluated index keeps the
-        // trajectory inside i64 (division operands kept non-negative so
-        // truncation == floor).
+        // trajectory inside i64. Both operands are non-negative and fit
+        // u64, so a 64-bit division is exact (truncation == floor).
         let idx_max = if step > 0 {
-            (i64::MAX as i128 - x0) / step
+            ((i64::MAX as i128 - x0) as u64 / step as u64) as i128
         } else if step < 0 {
-            (x0 - i64::MIN as i128) / -step
+            ((x0 - i64::MIN as i128) as u64 / (-step) as u64) as i128
         } else {
             i128::MAX
         };
@@ -1982,8 +1994,21 @@ impl ClosedLoop {
             return 0;
         }
         // First failing iteration in [1, cap); pass() is prefix-monotone
-        // (order comparison × monotone trajectory), so binary search.
-        let (mut lo, mut hi) = (1i128, cap);
+        // (order comparison × monotone trajectory), so search. Most loops
+        // end long before `cap` (often unbounded), so gallop 1, 2, 4, …
+        // to bracket the answer in O(log passes), then bisect.
+        let (mut lo, mut hi) = (1i128, 1i128);
+        loop {
+            if hi >= cap {
+                hi = cap;
+                break;
+            }
+            if !pass(hi) {
+                break;
+            }
+            lo = hi + 1;
+            hi *= 2;
+        }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if pass(mid) {
@@ -2623,6 +2648,7 @@ mod tests {
                 f: CmpFn::Ge,
                 exit_if: true,
                 eval_offset: 0,
+                accs: vec![],
             }
         );
         // Starting at 0 with room to spare, all 100 guard passes retire
@@ -2710,6 +2736,7 @@ mod tests {
                 f,
                 exit_if,
                 eval_offset,
+                accs: vec![],
             };
             for x0 in [-40i64, -1, 0, 1, 17] {
                 for cap in [0u64, 1, 2, 13, 200] {
@@ -2744,6 +2771,7 @@ mod tests {
             f: CmpFn::Lt,
             exit_if: true,
             eval_offset: 0,
+            accs: vec![],
         };
         let x0 = i64::MAX - 5;
         // Guard evaluations at MAX-5 and MAX-2 stay in range; the next
@@ -2760,6 +2788,7 @@ mod tests {
             f: CmpFn::Lt,
             exit_if: false,
             eval_offset: 0,
+            accs: vec![],
         };
         assert_eq!(idle.passes(3, 1_000), 1_000);
         assert_eq!(idle.passes(30, 1_000), 0, "constant-false exits at once");
@@ -2772,6 +2801,7 @@ mod tests {
             f: CmpFn::Lt,
             exit_if: false,
             eval_offset: 0,
+            accs: vec![],
         };
         assert_eq!(down.passes(i64::MIN + 9, 1_000), 3);
     }

@@ -365,10 +365,15 @@ pub fn disassemble_mega(program: &Program, method: MethodId) -> String {
                     b.guards,
                     if b.guards == 1 { "" } else { "s" }
                 );
-                if let Some(cl) = b.closed {
+                if let Some(cl) = &b.closed {
+                    let accs: String = cl
+                        .accs
+                        .iter()
+                        .map(|(l, c)| format!(", l{l} += {c}"))
+                        .collect();
                     let _ = writeln!(
                         out,
-                        "    closed form: l{} += {} while {:?}(l{}, {}) != {}",
+                        "    closed form: l{} += {}{accs} while {:?}(l{}, {}) != {}",
                         cl.local, cl.step, cl.f, cl.local, cl.bound, cl.exit_if
                     );
                 }

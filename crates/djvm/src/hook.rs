@@ -16,7 +16,11 @@
 //! (buffer flush/fill): those frames are flagged as instrumentation, their
 //! yield points reach [`ExecHook::on_instr_yield_point`] instead (the
 //! `liveClock` distinction), and any thread switch the hook requested is
-//! deferred until the helper returns.
+//! deferred until the helper returns. Helper code is compiled together
+//! with the application: its hot loops tier up to megablocks like any
+//! other, batching helper yield points the hook declares inert
+//! ([`ExecHook::instr_yields_inert`]) and timer ticks it cannot observe
+//! before the batch ends ([`ExecHook::ticks_inert`]).
 
 use crate::bytecode::{MethodId, NativeId};
 use crate::heap::Word;
@@ -77,10 +81,36 @@ pub trait ExecHook {
         YieldAction::NONE
     }
 
+    /// Whether every [`ExecHook::on_instr_yield_point`] consult is *inert*:
+    /// it returns [`YieldAction::NONE`] and changes no state at all, in
+    /// the hook or the VM. Then the tier-2 engine runs helper loops as
+    /// megablocks and skips those consults outright, with nothing to
+    /// credit back (helper yield points never reach the logical clock).
+    /// The default `false` keeps helper frames on tier 1 — as for the
+    /// `live_clock`-ablated DejaVu hooks, whose helper yield points tick
+    /// the clock.
+    fn instr_yields_inert(&self) -> bool {
+        false
+    }
+
+    /// Whether timer ticks that fire before the current tier-2 batch ends
+    /// are *inert*: nothing the hook does within the batch reads the
+    /// preempt bit or depends on the tick (in particular its
+    /// [`ExecHook::quiet_yield_horizon`] stays exact). Then a batch runs
+    /// straight across ticks and applies each one exactly where a step
+    /// loop would (preempt bit, next timer interval, telemetry), instead
+    /// of stopping in front of it. Consulted once per megablock entry;
+    /// the instrumentation depth cannot change inside a batch. The
+    /// default `false` makes every tick a batch boundary.
+    fn ticks_inert(&self, _vm: &Vm) -> bool {
+        false
+    }
+
     /// How many upcoming [`ExecHook::on_yield_point`] consults are
     /// guaranteed *quiet* — they would return [`YieldAction::NONE`] and
     /// have no effect beyond advancing the hook's yield-point arithmetic —
-    /// assuming no timer tick fires before they happen. The tier-2
+    /// assuming no timer tick fires before they happen (or, when
+    /// [`ExecHook::ticks_inert`] holds, whether or not one does). The tier-2
     /// megablock engine batches that many consults away (crediting them
     /// back via [`ExecHook::on_yield_points_skipped`]), so the answer must
     /// be exact: passthrough and record switch only when the preempt bit

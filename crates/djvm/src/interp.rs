@@ -113,6 +113,9 @@ fn run_quick(
     // lives here and only here (the generic path has no QOps to key by).
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
+    // Set when a megablock just deopted: the quickened tier resumes at the
+    // guard pc without re-trying the block there (it would deopt again).
+    let mut deopted = false;
     'outer: while vm.status.is_running()
         && n < max_steps
         && vm.counters.yield_points < stop_yield_points
@@ -125,10 +128,15 @@ fn run_quick(
             (t.method, t.pc, t.sp, t.fp + 3)
         };
         // ---- tier-2: megablocks execute at compiled loop heads ----
-        if vm.mega.enabled && vm.instr_depth == 0 {
+        // Inside instrumentation helpers only when the hook declares their
+        // yield points inert: the engine skips those consults outright.
+        if !std::mem::take(&mut deopted)
+            && vm.mega.enabled
+            && (vm.instr_depth == 0 || hook.instr_yields_inert())
+        {
             if let Some(block) = vm.mega_block(method, pc) {
                 let before = n;
-                run_mega(
+                deopted = run_mega(
                     vm,
                     hook,
                     &block,
@@ -140,6 +148,7 @@ fn run_quick(
                 if n != before {
                     continue 'outer;
                 }
+                deopted = false;
                 // Zero progress (entry-gate miss, or a deopt at the very
                 // first step): the VM is bit-identical to entry, so fall
                 // through into quickened dispatch below, which always
@@ -492,7 +501,10 @@ fn run_quick(
 ///
 /// * `cycles_to_tick > width` — no timer tick can fire inside the batch,
 ///   so the preempt bit cannot newly set and per-step accounting needs no
-///   tick check (the fused-superinstruction gate, applied per iteration);
+///   tick check (the fused-superinstruction gate, applied per iteration).
+///   Dropped when the hook declares ticks inert ([`ExecHook::ticks_inert`]):
+///   the batch then runs across ticks and every commit fires the ones it
+///   crossed, in order, exactly where a step loop would;
 /// * `n + width <= max_steps` — budget-limited runs pause on identical
 ///   instruction boundaries in every tier;
 /// * `h >= yields` — the hook has guaranteed that many upcoming
@@ -501,9 +513,22 @@ fn run_quick(
 ///   `h` is consulted once at entry: within a tick-free window the horizon
 ///   cannot shrink for any other reason (passthrough/record horizons
 ///   depend only on the preempt bit; replay's recorded delta decreases by
-///   exactly the yield points we credit). `h` is also capped at the yield
-///   points left before `stop_yield_points`, so a batch ends at the latest
-///   on the backedge that reaches the stop, never past it.
+///   exactly the yield points we credit, and no tick moves it). `h` is
+///   also capped at the yield points left before `stop_yield_points`, so
+///   a batch ends at the latest on the backedge that reaches the stop,
+///   never past it.
+///
+/// When only the next tick or the end of the horizon stands in the way,
+/// the entry runs one more iteration and makes its backedge consult for
+/// real, right after the iteration's steps (and any tick they fired) —
+/// where the quickened tier makes it. This needs a loop without inlined
+/// calls, whose prologue consults would otherwise be batched past the tick
+/// or the end of the horizon.
+///
+/// Inside an instrumentation helper (`instr_depth > 0`, entered only when
+/// [`ExecHook::instr_yields_inert`] holds) yield points are neither
+/// counted nor consulted, so the horizon gate and the yield crediting are
+/// off, and — as on every tier — helper steps are not fingerprinted.
 ///
 /// Every guard failure — real or injected — exits *before* the offending
 /// step, with the thread cursor flushed to that step's exact
@@ -513,7 +538,7 @@ fn run_quick(
 /// *real* frames (`push_frame`/`do_return`), keeping physical stack writes
 /// identical to the quickened tier; fingerprint state is synced around
 /// them so their events (stack growth, profiler spans) interleave in
-/// program order.
+/// program order. Returns whether the entry ended in such a deopt.
 // Kept out of the tier-1 dispatch loop: inlining this large body bloats
 // `run_quick`'s icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
@@ -525,17 +550,32 @@ fn run_mega(
     max_steps: u64,
     stop_yield_points: u64,
     prof_on: bool,
-) {
+) -> bool {
     use crate::compile::MegaOp;
     let width = block.width;
-    let yields = block.yields;
     let stride = vm.config.mega_deopt_stride;
     let forced_guard = vm.config.mega_deopt_guard;
+    // Helper frames: no counted yield points and no fingerprint steps.
+    let instr = vm.instr_depth > 0;
+    let (yields, back_yield, call_yield) = if instr {
+        (0, 0, 0)
+    } else {
+        (block.yields, block.back_yield, 1)
+    };
+    // The quickened tier splits a fusion a tick lands in, and the profiler
+    // attributes the split's cycles to single-op kinds: with the profiler
+    // armed, batches stop in front of every tick.
+    let cross_ticks = !prof_on;
+    let ticks_inert = cross_ticks && hook.ticks_inert(vm);
 
-    // One horizon consult covers the whole entry (see above).
-    let mut h = hook
-        .quiet_yield_horizon(vm)
-        .min(stop_yield_points - vm.counters.yield_points);
+    // One horizon consult covers the whole entry (see above). A hook
+    // with no quiet consults ahead keeps the whole entry on tier 1.
+    let (mut h, quiet) = if instr {
+        (u64::MAX, true)
+    } else {
+        let q = hook.quiet_yield_horizon(vm);
+        (q.min(stop_yield_points - vm.counters.yield_points), q != 0)
+    };
 
     let tid = vm.sched.current;
     let cur = tid as usize;
@@ -546,16 +586,30 @@ fn run_mega(
     let mut cycles = vm.cycles;
     let mut steps = vm.counters.steps;
     let mut to_tick = vm.cycles_to_tick;
-    let fp_full = vm.fingerprint.mode() == crate::fingerprint::FingerprintMode::Full;
+    let fp_full = !instr && vm.fingerprint.mode() == crate::fingerprint::FingerprintMode::Full;
     let (mut fph, mut fpsteps) = vm.fingerprint.step_state();
     // The block's fingerprint maps are tid-free; this thread's share is a
     // per-width constant for the steps and one term for the iteration.
-    let tid_c = crate::fingerprint::span_tid_terms(tid);
-    let iter_map = block.fp_iter.with_tid(tid, block.fp_iter_tid);
+    let (tid_c, iter_map) = if fp_full {
+        (
+            crate::fingerprint::span_tid_terms(tid),
+            block.fp_iter.with_tid(tid, block.fp_iter_tid),
+        )
+    } else {
+        (
+            [0; crate::fingerprint::MAX_SPAN + 1],
+            crate::fingerprint::StepMap::IDENTITY,
+        )
+    };
     // Yield points batched away so far; credited (to the counters and the
     // hook) on every exit path, before any real hook consult can happen.
     let mut skipped: u64 = 0;
     let mut entered = false;
+    // Set for the entry's last iteration, whose backedge consult is made
+    // for real; `consult` records that the iteration completed.
+    let mut last = false;
+    let mut consult = false;
+    let mut deopted = false;
     // Deopt injection is config-gated; keep the per-guard bookkeeping off
     // the fast path entirely when both knobs are cold.
     let inject = stride != 0 || forced_guard.is_some();
@@ -573,14 +627,6 @@ fn run_mega(
     // individually instead of through `full_iters`. (Assigned at each
     // iteration start and by every flush, before any read.)
     let mut dirty;
-    // The backedge's own yield-point share of `block.yields` (the rest
-    // belongs to inlined call prologues, credited at each Call step).
-    let call_yields = block
-        .steps
-        .iter()
-        .filter(|s| matches!(s.op, crate::compile::MegaOp::Call { .. }))
-        .count() as u64;
-    let back_yield = yields.saturating_sub(call_yields);
 
     // Settle the lazily-batched work into the cached counters.
     macro_rules! commit {
@@ -589,7 +635,7 @@ fn run_mega(
             if dw != 0 {
                 steps += dw;
                 cycles += dw;
-                to_tick -= dw;
+                advance_timer(vm, &mut to_tick, dw);
                 *n += dw;
                 if fp_full {
                     fpsteps += dw;
@@ -599,6 +645,9 @@ fn run_mega(
                 h = h.saturating_sub(full_iters * yields);
                 skipped += full_iters * back_yield;
                 vm.mega.stats.iters += full_iters;
+                if instr {
+                    vm.mega.stats.instr_iters += full_iters;
+                }
                 full_iters = 0;
             }
             done_w = 0;
@@ -621,9 +670,9 @@ fn run_mega(
     }
     // Batched accounting for one micro-op of `width` source instructions —
     // bit-identical to `account_fused!` once committed, with the tick block
-    // statically absent (the entry gate guarantees no tick fires in the
-    // iteration). The fingerprint advances eagerly, by the step's map, so
-    // a deopt or Call/Ret flush after any step hands off the exact prefix
+    // moved to the commit (`advance_timer` fires any tick the batch
+    // crossed). The fingerprint advances eagerly, by the step's map, so a
+    // deopt or Call/Ret flush after any step hands off the exact prefix
     // hash.
     macro_rules! account {
         ($s:expr) => {{
@@ -652,10 +701,31 @@ fn run_mega(
         // bound reproduces the per-iteration gate it replaces (`to_tick >
         // width`, `*n + width <= max_steps`, `h >= yields`) exactly, so
         // ticks/preemptions/pauses land on identical step boundaries.
-        let by_tick = to_tick.saturating_sub(1) / width;
+        let by_tick = if ticks_inert {
+            u64::MAX
+        } else {
+            to_tick.saturating_sub(1) / width
+        };
         let by_budget = max_steps.saturating_sub(*n) / width;
         let by_horizon = if yields == 0 { u64::MAX } else { h / yields };
-        let avail = by_tick.min(by_budget).min(by_horizon);
+        let mut avail = by_tick.min(by_budget).min(by_horizon);
+        // Only the next tick or the end of the quiet horizon is in the
+        // way: run one more iteration, then make its backedge consult for
+        // real — after any tick it fired, exactly where the quickened tier
+        // would make it. Its steps consult nothing else, so this needs a
+        // loop without inlined calls (whose prologue consults could
+        // follow the tick or end the horizon), and a logical stop not yet
+        // reached by the batched consults.
+        if avail == 0
+            && by_budget != 0
+            && back_yield == yields
+            && quiet
+            && (by_tick != 0 || cross_ticks)
+            && (instr || stop_yield_points - vm.counters.yield_points > skipped)
+        {
+            avail = 1;
+            last = true;
+        }
         if avail == 0 {
             vm.mega.stats.gate_misses += 1;
             flush_at!(block.method, block.head);
@@ -668,16 +738,18 @@ fn run_mega(
         // Closed-form fast path: a canonical counting loop retires a whole
         // batch of passing iterations with one multiply, provided no
         // per-step observer needs the iterations replayed step-by-step
-        // (profiler attribution or forced deopt injection). The final
-        // memory image is bit-identical: the only per-iteration effects
-        // are the induction local (written with its closed-form value) and
-        // operand-stack traffic below a restored sp, which nothing live
-        // can observe. The fingerprint's per-pc hash is affine, so `kk`
-        // iterations of it are one map, `iter_map^kk`. When the next
-        // iteration would fail its guard (`kk == 0`), fall through to the
-        // step loop so the deopt happens at the exact guard pc.
-        if !prof_on && !inject {
-            if let Some(cl) = block.closed {
+        // (profiler attribution or forced deopt injection), and the entry's
+        // last iteration is not owed a real consult. The final memory
+        // image is bit-identical: the only per-iteration effects are the
+        // induction and accumulator locals (written with their closed-form
+        // values) and operand-stack traffic below a restored sp, which
+        // nothing live can observe. The fingerprint's per-pc hash is
+        // affine, so `kk` iterations of it are one map, `iter_map^kk`. A
+        // tail guard about to fail, or the wrap horizon, falls through to
+        // the step loop, which deopts at the exact guard pc or runs the
+        // wrapping iteration.
+        if !prof_on && !inject && !last {
+            if let Some(cl) = &block.closed {
                 let slot = (base + cl.local as u64) as usize;
                 let x0 = vm.heap.mem[slot] as i64;
                 let kk = cl.passes(x0, avail);
@@ -686,8 +758,26 @@ fn run_mega(
                         fph = iter_map.pow(kk).apply(fph);
                     }
                     vm.heap.mem[slot] = (x0 as i128 + kk as i128 * cl.step as i128) as i64 as Word;
+                    for &(local, c) in &cl.accs {
+                        let a = (base + local as u64) as usize;
+                        vm.heap.mem[a] = vm.heap.mem[a].wrapping_add(kk.wrapping_mul(c as u64));
+                    }
                     full_iters += kk;
                     vm.mega.stats.closed_iters += kk;
+                }
+                // Stopped short of `avail` with the head guard about to
+                // fail (rather than at the wrap horizon): deopt at the head
+                // now, exactly as the step loop's first step would.
+                if kk < avail
+                    && cl.eval_offset == 0
+                    && cl.f.apply(vm.heap.mem[slot] as i64, cl.bound) == cl.exit_if
+                {
+                    flush_at!(block.method, block.head);
+                    vm.mega.stats.deopts += 1;
+                    deopted = true;
+                    break 'outer;
+                }
+                if kk > 0 {
                     continue 'outer;
                 }
             }
@@ -722,6 +812,7 @@ fn run_mega(
                         if $forced {
                             vm.mega.stats.forced_deopts += 1;
                         }
+                        deopted = true;
                         break 'outer;
                     }};
                 }
@@ -732,10 +823,21 @@ fn run_mega(
                 macro_rules! iter_done {
                     () => {{
                         let _ = guard_ix; // terminators end the per-iteration count
+                        if last {
+                            // Settle the steps (firing any tick), leave the
+                            // backedge's yield point to the real consult.
+                            flush_at!(block.method, block.head);
+                            vm.mega.stats.iters += 1;
+                            if instr {
+                                vm.mega.stats.instr_iters += 1;
+                            }
+                            consult = true;
+                            break 'outer;
+                        }
                         if dirty {
                             steps += done_w;
                             cycles += done_w;
-                            to_tick -= done_w;
+                            advance_timer(vm, &mut to_tick, done_w);
                             *n += done_w;
                             if fp_full {
                                 fpsteps += done_w;
@@ -744,6 +846,9 @@ fn run_mega(
                             h = h.saturating_sub(yields);
                             skipped += back_yield; // the backedge's yield point
                             vm.mega.stats.iters += 1;
+                            if instr {
+                                vm.mega.stats.instr_iters += 1;
+                            }
                         } else {
                             debug_assert_eq!(done_w, width);
                             full_iters += 1;
@@ -905,7 +1010,7 @@ fn run_mega(
                                 hook.on_yield_points_skipped(skipped);
                             }
                             raise_err(vm, hook, e);
-                            return;
+                            return false;
                         }
                         // New frame; the stack may have grown (and moved), and
                         // push_frame may have mixed fingerprint events.
@@ -917,7 +1022,7 @@ fn run_mega(
                         let st = vm.fingerprint.step_state();
                         fph = st.0;
                         fpsteps = st.1;
-                        skipped += 1; // the callee's prologue yield point, batched
+                        skipped += call_yield; // the callee's prologue yield point, batched
                     }
                     MegaOp::Ret { has_val } => {
                         account!(s);
@@ -982,6 +1087,25 @@ fn run_mega(
         vm.threads[cur].yield_points += skipped;
         hook.on_yield_points_skipped(skipped);
     }
+    if consult {
+        yield_point(vm, hook);
+    }
+    deopted
+}
+
+/// Advance the timer countdown by `d` cycles, firing every tick crossed
+/// on the way exactly as `d` single steps would: each sets the preempt
+/// bit and draws the next interval, in order. Without inert ticks the
+/// tier-2 entry gate keeps `d < to_tick`, and this is one subtraction.
+#[inline]
+fn advance_timer(vm: &mut Vm, to_tick: &mut u64, mut d: u64) {
+    while d >= *to_tick {
+        d -= *to_tick;
+        vm.preempt_bit = true;
+        *to_tick = vm.timer.next_interval();
+        vm.telem.timer_interval(*to_tick);
+    }
+    *to_tick -= d;
 }
 
 /// Execute one instruction of the current thread (plus any switch /
@@ -2999,6 +3123,175 @@ mod tests {
             // identical output is already asserted above; sanity-check the
             // wrap actually happened.
             assert!(quick.output.trim().parse::<i64>().unwrap() < 0);
+        }
+    }
+
+    /// Emits a comparison (`Asm::lt`, `Asm::ge`, …).
+    type Cmp = fn(&mut crate::builder::Asm) -> &mut crate::builder::Asm;
+
+    /// Counting loop whose body also adds loop-invariant constants to two
+    /// accumulator locals (local 1 twice, local 2 once), head-guarded
+    /// (`exit when cmp(i, bound)`) or tail-guarded (`continue while
+    /// cmp(i, bound)`). Prints every local at exit.
+    fn acc_workout(
+        x0: i64,
+        step: i64,
+        cmp: Cmp,
+        bound: i64,
+        tail: bool,
+        (ca, cb): (i64, i64),
+    ) -> crate::program::Program {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.method("main", 0, 3).code(|a| {
+            a.iconst(x0).store(0);
+            a.iconst(ca.wrapping_mul(7)).store(1);
+            a.iconst(-5).store(2);
+            a.label("top");
+            if !tail {
+                cmp(a.load(0).iconst(bound)).if_nz("done");
+            }
+            a.load(1).iconst(ca).add().store(1);
+            a.load(0).iconst(step).add().store(0);
+            a.load(2).iconst(cb).add().store(2);
+            a.load(1).iconst(cb ^ ca).add().store(1);
+            if tail {
+                cmp(a.load(0).iconst(bound)).if_nz("top");
+            } else {
+                a.goto("top");
+            }
+            a.label("done");
+            a.load(0).print();
+            a.load(1).print();
+            a.load(2).print();
+            a.halt();
+        });
+        pb.finish(m).unwrap()
+    }
+
+    /// Never switches, so every consult is quiet and no tick is ever
+    /// observed: a tier-2 entry runs the whole loop in one batch, across
+    /// every timer tick on the way.
+    struct Oblivious;
+
+    impl crate::hook::ExecHook for Oblivious {
+        fn on_yield_point(&mut self, _vm: &mut Vm) -> crate::hook::YieldAction {
+            crate::hook::YieldAction::NONE
+        }
+        fn quiet_yield_horizon(&self, _vm: &Vm) -> u64 {
+            u64::MAX
+        }
+        fn ticks_inert(&self, _vm: &Vm) -> bool {
+            true
+        }
+        fn on_clock_read(&mut self, vm: &mut Vm) -> i64 {
+            vm.read_live_clock()
+        }
+        fn on_native_call(
+            &mut self,
+            vm: &mut Vm,
+            native: crate::bytecode::NativeId,
+            args: &[i64],
+        ) -> crate::native::NativeOutcome {
+            vm.call_native_live(native, args)
+        }
+    }
+
+    #[test]
+    fn closed_form_accumulator_loops_match_stepping() {
+        use crate::builder::Asm;
+        use crate::clock::JitteredTimer;
+        use crate::compile::{compile_loop, loop_heads};
+        // (x0, step, cmp, bound, tail, accumulator constants): k from 100
+        // to 10^6, both guard shapes, a descending loop, accumulators that
+        // wrap i64 many times over, and an induction variable that itself
+        // wraps (the loop only exits once it turns negative).
+        let mut rng = crate::rng::SplitMix64::new(0xACC);
+        let mut big = || rng.next_u64() as i64;
+        type Case = (i64, i64, Cmp, i64, bool, (i64, i64));
+        let cases: Vec<Case> = vec![
+            (0, 1, Asm::ge, 100, false, (3, 9)),
+            (5, 3, Asm::lt, 700, true, (big(), -1)),
+            (0, 1, Asm::ge, 1_000_000, false, (big(), big())),
+            (10, 7, Asm::lt, 700_000, true, (i64::MAX, i64::MIN)),
+            (1_000, -2, Asm::le, -1_000, false, (big(), 12)),
+            (i64::MAX - 1_000, 3, Asm::lt, 0, false, (big(), big())),
+        ];
+        for (i, &(x0, step, cmp, bound, tail, accs)) in cases.iter().enumerate() {
+            let p = acc_workout(x0, step, cmp, bound, tail, accs);
+            // The shape the closed form must recognize: two accumulators,
+            // local 1's two increments merged.
+            let heads = loop_heads(p.compiled(p.entry));
+            let block = compile_loop(&p, p.entry, heads[0]).unwrap();
+            let cl = block
+                .closed
+                .as_ref()
+                .expect("accumulator loop is closed-form");
+            assert_eq!(cl.step, step, "case {i}");
+            let merged = accs.0.wrapping_add(accs.1 ^ accs.0);
+            assert_eq!(cl.accs, vec![(1, merged), (2, accs.1)], "case {i}");
+
+            // The long loops run at one timer shape: 10^6 iterations take a
+            // while on the quickened tier in a debug build.
+            let intervals: &[u64] = if bound.abs() >= 700_000 {
+                &[211]
+            } else {
+                &[7, 211, 10_000]
+            };
+            for &interval in intervals {
+                let boot = |mega: bool| {
+                    let cfg = VmConfig {
+                        quicken: true,
+                        mega,
+                        ..VmConfig::default()
+                    };
+                    let mut vm = Vm::boot(
+                        Arc::new(acc_workout(x0, step, cmp, bound, tail, accs)),
+                        cfg,
+                        Box::new(JitteredTimer::new(i as u64, interval, interval / 4)),
+                        Box::new(CycleClock::new(0, 100)),
+                    )
+                    .unwrap();
+                    vm.enable_telemetry(16);
+                    vm
+                };
+                // Passthrough stops each batch at its tick's first consult;
+                // Oblivious lets one batch cross every tick.
+                for oblivious in [false, true] {
+                    let (mut quick, mut mega) = (boot(false), boot(true));
+                    if oblivious {
+                        run(&mut quick, &mut Oblivious, 100_000_000);
+                        run(&mut mega, &mut Oblivious, 100_000_000);
+                    } else {
+                        run(&mut quick, &mut Passthrough, 100_000_000);
+                        run(&mut mega, &mut Passthrough, 100_000_000);
+                    }
+                    let ctx = format!("case {i} interval {interval} oblivious {oblivious}");
+                    assert!(!quick.status.is_running(), "{ctx}");
+                    assert_eq!(observe(&quick), observe(&mega), "{ctx}");
+                    assert_eq!(quick.cycles_to_tick, mega.cycles_to_tick, "{ctx}");
+                    assert_eq!(quick.preempt_bit, mega.preempt_bit, "{ctx}");
+                    assert_eq!(
+                        quick.telem.timer_intervals, mega.telem.timer_intervals,
+                        "{ctx}: ticks fired"
+                    );
+                    // A 7-cycle quantum is shorter than one iteration: the
+                    // Passthrough batches are single tick-crossing steps.
+                    if oblivious || interval > 7 {
+                        assert!(
+                            mega.mega.stats.closed_iters > 0,
+                            "{ctx}: {:?}",
+                            mega.mega.stats
+                        );
+                    }
+                    if oblivious && interval == 7 {
+                        assert!(
+                            mega.telem.timer_intervals.count() > mega.mega.stats.entries,
+                            "{ctx}: batches crossed ticks: {:?}",
+                            mega.mega.stats
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -130,7 +130,7 @@ pub struct BootImage {
 }
 
 /// Counters reported by the experiment harness.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmCounters {
     pub steps: u64,
     pub yield_points: u64,
@@ -161,12 +161,15 @@ pub struct MegaStats {
     /// Subset of `iters` retired by the closed-form counting-loop stepper
     /// (no per-step execution at all).
     pub closed_iters: u64,
+    /// Subset of `iters` run inside instrumentation helper frames (the
+    /// DejaVu flush/fill loops, compiled together with the application).
+    pub instr_iters: u64,
     /// Guard-failure deopts back to the quickened interpreter.
     pub deopts: u64,
     /// Deopts injected by `mega_deopt_stride` / `mega_deopt_guard`.
     pub forced_deopts: u64,
-    /// Entry-gate misses (tick too close, budget exhausted, or the hook's
-    /// quiet-yield horizon too short).
+    /// Entry-gate misses (tick too close and not inert, budget exhausted,
+    /// or the hook's quiet-yield horizon too short).
     pub gate_misses: u64,
 }
 
@@ -180,6 +183,7 @@ impl MegaStats {
             ("entries", Json::UInt(self.entries)),
             ("forced_deopts", Json::UInt(self.forced_deopts)),
             ("gate_misses", Json::UInt(self.gate_misses)),
+            ("instr_iters", Json::UInt(self.instr_iters)),
             ("iters", Json::UInt(self.iters)),
             ("tier_ups", Json::UInt(self.tier_ups)),
         ])

@@ -107,6 +107,10 @@ struct State {
 pub struct Store {
     backend: Backend,
     state: Mutex<State>,
+    /// Serializes each catalog entry's read-modify-write (`puts`, the
+    /// fingerprint upgrade), striped by the entry id's first byte so puts
+    /// of different runs rarely wait on each other.
+    catalog_locks: [Mutex<()>; 256],
 }
 
 impl Store {
@@ -122,6 +126,7 @@ impl Store {
                 cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
                 metrics: Registry::new(),
             }),
+            catalog_locks: std::array::from_fn(|_| Mutex::new(())),
         })
     }
 
@@ -194,6 +199,11 @@ impl Store {
         let id = entry.identity();
 
         let path = self.backend.catalog_path(&id);
+        let stripe = u8::from_str_radix(id.get(..2).unwrap_or("00"), 16).unwrap_or(0);
+        // Poisoning is harmless here: the guarded state is on disk.
+        let entry_guard = self.catalog_locks[stripe as usize]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let mut new_entry = true;
         if path.exists() {
             let existing = self.read_entry(&id)?;
@@ -216,6 +226,7 @@ impl Store {
         }
         self.backend
             .write_atomic(&path, entry.to_json().to_string().as_bytes())?;
+        drop(entry_guard);
 
         let mut st = self.lock();
         if new_entry {

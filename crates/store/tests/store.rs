@@ -236,3 +236,43 @@ fn corrupt_block_file_is_typed_not_panic() {
     assert_eq!(err.code(), 1);
     assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Trace(_)));
 }
+
+/// put ‖ put: concurrent puts of one run must each count. The catalog
+/// read-modify-write (the `puts` counter and the fingerprint 0 → verified
+/// upgrade) used to be unlocked, so racing puts lost updates.
+#[test]
+fn concurrent_puts_of_one_run_all_count() {
+    let (fp, _, bytes) = record("fig1_hot", 21);
+    let bytes = Arc::new(bytes);
+    for trial in 0..20 {
+        let root = scratch(&format!("put-put-{trial}"));
+        let store = Arc::new(Store::open(&root).unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let puts: Vec<_> = (0..8u64)
+            .map(|i| {
+                let (store, barrier, bytes) =
+                    (Arc::clone(&store), Arc::clone(&barrier), Arc::clone(&bytes));
+                // Half the puts are unverified fleet ingests, half carry the
+                // verified fingerprint: the upgrade must survive the race.
+                let f = if i % 2 == 0 { 0 } else { fp };
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    store
+                        .put_bytes("fig1_hot", 21, &bytes, f, "")
+                        .unwrap()
+                        .entry
+                })
+            })
+            .collect();
+        let ids: Vec<String> = puts.into_iter().map(|t| t.join().unwrap()).collect();
+        assert!(ids.iter().all(|id| *id == ids[0]), "one run, one entry");
+        let entry = store.entry(&ids[0]).unwrap();
+        assert_eq!(entry.puts, 8, "trial {trial}: lost put");
+        assert_eq!(
+            entry.fingerprint, fp,
+            "trial {trial}: lost fingerprint upgrade"
+        );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}

@@ -94,6 +94,39 @@ fn truncated_trace_rejected() {
     assert!(Trace::decode(b"NOPE").is_none());
 }
 
+/// Every block of the committed corpus re-encodes to its committed bytes:
+/// the range coder's model (and LZ77) are pure functions of the block, so
+/// reassembling each file from its raw blocks reproduces it exactly — the
+/// property `store get` relies on.
+#[test]
+fn corpus_blocks_reencode_byte_identically() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut range_blocks = 0;
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("corpus dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("djvb") {
+            continue;
+        }
+        let bytes = std::fs::read(&path).expect("read corpus trace");
+        let file = dejavu::BlockFile::parse(bytes.clone()).expect("parse");
+        let blocks = file.raw_blocks().expect("raw blocks");
+        for b in &blocks {
+            if b.method == dejavu::BlockMethod::Range {
+                range_blocks += 1;
+                let stream = codec::entropy_compress(&b.raw);
+                let back = codec::entropy_decompress(&stream, b.raw.len());
+                assert_eq!(back.as_deref(), Some(&b.raw[..]), "{}", path.display());
+            }
+        }
+        let again = dejavu::assemble_block_file(file.paranoid, file.budget, &blocks);
+        assert!(again == bytes, "{} re-encodes differently", path.display());
+        files += 1;
+    }
+    assert_eq!(files, 12, "the committed corpus");
+    assert!(range_blocks > 0, "the corpus exercises the range coder");
+}
+
 // ---------------------------------------------------------------------
 // Debugger wire protocol: every variant, through the string form the
 // client/server actually exchange.
